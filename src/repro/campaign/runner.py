@@ -1,31 +1,47 @@
-"""Campaign execution: serial, chunked and multiprocessing backends.
+"""Campaign execution: one dispatch pipeline behind three backends.
 
 :class:`CampaignRunner` executes a flat list of scenario specs (or a
 :class:`~repro.campaign.grid.ScenarioGrid`, which it compiles first) and
-aggregates the outcomes into a :class:`CampaignResult`.  Three backends
-share one code path:
+aggregates the outcomes into a :class:`CampaignResult`.  Every campaign
+runs the same pipeline::
 
-* ``"serial"`` — one scenario after the other in the calling process;
-  the reference backend every other backend must agree with.
-* ``"chunked"`` — the same executions, batched through the exact chunk
-  machinery the process backend uses; useful for testing the chunking
-  logic and for coarse progress accounting without any forking.
-* ``"process"`` — a ``multiprocessing`` pool of worker processes, each
-  executing whole chunks of specs.  Because specs are plain data and
-  every seeded scheduler derives its RNG stream from the scenario's
-  identity (:meth:`ScenarioSpec.derived_seed`), the outcome of a
-  scenario does not depend on which worker runs it or in which order —
-  so all backends produce **identical** :class:`CampaignResult`\\ s
-  (timing metadata aside, which is excluded from equality).
+    specs → plan → (fn, specs, positions) tasks
+          → Supervisor (run_inline | run_pool) → record by position
+
+* **Plan.** :meth:`CampaignRunner.plan` cuts the specs into tasks.  With
+  ``batch=True`` it first splits off same-``(kind, n, f)`` waves for the
+  batched kernel (:func:`_run_wave`); everything else runs through the
+  scalar entry point (:func:`_run_batch`).
+* **Execute.** One :class:`~repro.faults.supervisor.Supervisor` runs the
+  tasks — inline in the calling process, or on a ``multiprocessing``
+  pool for the process backend with more than one worker.  Either way
+  a raising task is retried, bisected and quarantined the same way.
+* **Reassemble.** A single ``record`` hook writes each outcome into its
+  spec's slot and fires ``on_outcome``; the result lists outcomes in
+  spec order, whatever order the tasks completed in.
+
+The three backends differ only in task size and executor:
+
+* ``"serial"`` — one spec per task (whole waves when batching), run
+  inline; the reference backend every other backend must agree with.
+* ``"chunked"`` — chunk-sized tasks, run inline: chunk boundaries and
+  per-chunk hook delivery without any forking.
+* ``"process"`` — chunk-sized tasks on a pool of worker processes.
+  Because specs are plain data and every seeded scheduler derives its
+  RNG stream from the scenario's identity
+  (:meth:`ScenarioSpec.derived_seed`), the outcome of a scenario does
+  not depend on which worker runs it or in which order — so all
+  backends produce **identical** :class:`CampaignResult`\\ s (timing
+  metadata aside, which is excluded from equality).
 
 :meth:`CampaignRunner.run` additionally accepts three hooks that the
 persistent store (:mod:`repro.store`) builds on:
 
-* ``on_outcome`` — called in the **calling** process as soon as an
-  outcome exists (per scenario for the in-process backends, per
-  completed chunk for the process backend).  This is what lets a store
+* ``on_outcome`` — called in the **calling** process as soon as a
+  task's outcomes exist (per scenario on the serial backend, per
+  completed chunk or wave otherwise).  This is what lets a store
   persist results incrementally, so a killed campaign resumes from its
-  last completed scenario instead of from scratch.
+  last completed task instead of from scratch.
 * ``progress`` — a callable receiving one :class:`ScenarioEvent` per
   finished scenario.  Under the process backend the events are produced
   *worker-side* and shipped over a queue, so a progress reporter sees
@@ -36,17 +52,14 @@ persistent store (:mod:`repro.store`) builds on:
   budgets (:class:`repro.store.EarlyStopPolicy`) use this to stop
   sampling a sweep point once its outcome is certified.
 
-The process backend dispatches chunks in waves (at most ``2 × workers``
-outstanding) instead of one bulk ``pool.map``: results arrive as they
-complete, which keeps ``on_outcome`` persistence incremental and lets
-``should_skip`` see the outcomes observed so far when deciding whether a
-later chunk still needs to run.  Dispatch runs under the
-:class:`repro.faults.supervisor.Supervisor`: every wait is bounded,
-in-flight chunks carry deadlines, dead or hung workers get their work
-re-queued under the runner's :class:`~repro.faults.plan.RetryPolicy`,
-persistently failing chunks are bisected down to the guilty spec (which
-is quarantined into an ``"error"`` outcome), and a broken pool degrades
-to in-process execution instead of aborting.  The optional
+The pool path keeps at most ``2 × workers`` tasks outstanding instead
+of one bulk ``pool.map``: results arrive as they complete, which keeps
+``on_outcome`` persistence incremental and lets ``should_skip`` see the
+outcomes observed so far when deciding whether a later chunk still
+needs to run.  The supervisor bounds every wait, gives in-flight tasks
+deadlines, re-queues the work of dead or hung workers under the
+runner's :class:`~repro.faults.plan.RetryPolicy`, and degrades a broken
+pool to in-process execution instead of aborting.  The optional
 ``CampaignRunner(faults=FaultPlan(...))`` injects deterministic chaos
 through the same machinery — see :mod:`repro.faults`.
 
@@ -64,17 +77,16 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign import codec
-from repro.campaign.costmodel import CostModel, plan_chunks
 from repro.campaign.grid import ScenarioGrid
 from repro.campaign.scenarios import get_kind
 from repro.campaign.spec import ScenarioOutcome, ScenarioSpec
 from repro.campaign.wire import encode_chunk, ensure_specs
 from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultPlan, FaultStats, RetryPolicy
-from repro.faults.supervisor import DispatchStats, Supervisor
+from repro.faults.supervisor import DispatchStats, Supervisor, TaskSpec
 from repro.provenance.usage import ResourceUsage
 from repro.telemetry.logs import get_logger
 from repro.telemetry.session import WorkerTelemetry
@@ -325,8 +337,16 @@ def _run_wave(
     return list(outcomes), timings
 
 
-def _chunk(specs: Sequence[ScenarioSpec], size: int) -> List[Tuple[ScenarioSpec, ...]]:
-    return [tuple(specs[i:i + size]) for i in range(0, len(specs), size)]
+def _slices(fn: Callable, specs: Sequence[ScenarioSpec],
+            positions: Sequence[int], size: int,
+            should_skip: Optional[SkipHook] = None) -> Iterator[TaskSpec]:
+    """Lazy ``(fn, specs, positions)`` tasks over ``size``-long runs of
+    ``positions``; ``should_skip`` drops specs as each task is drawn."""
+    for start in range(0, len(positions), size):
+        piece = [p for p in positions[start:start + size]
+                 if should_skip is None or not should_skip(specs[p])]
+        if piece:
+            yield fn, tuple(specs[p] for p in piece), tuple(piece)
 
 
 @dataclass(frozen=True)
@@ -474,6 +494,16 @@ class CampaignResult:
 class CampaignRunner:
     """Executes campaigns over one of the :data:`BACKENDS`.
 
+    Every campaign takes the same three steps, whatever the backend:
+    :meth:`plan` turns the specs into ``(fn, specs, positions)`` tasks,
+    one :class:`~repro.faults.supervisor.Supervisor` executes them
+    (:meth:`~repro.faults.supervisor.Supervisor.run_pool` for the
+    process backend with more than one worker,
+    :meth:`~repro.faults.supervisor.Supervisor.run_inline` otherwise),
+    and a single ``record`` hook writes each outcome into its spec's
+    slot and fires ``on_outcome``.  The backends differ only in task
+    size and executor.
+
     Attributes
     ----------
     backend:
@@ -482,8 +512,8 @@ class CampaignRunner:
         Worker-process count for the process backend (default: the CPU
         count, capped at 8).  Ignored by the in-process backends.
     chunk_size:
-        Scenarios per chunk for the chunked/process backends (default:
-        an even split into roughly ``4 * workers`` chunks).
+        Scenarios per task for the chunked/process backends (default:
+        an even split into roughly ``4 * workers`` tasks).
     batch:
         When ``True``, specs the batched kernel can execute
         (:func:`repro.simulation.batch_kernel.is_batchable`) are grouped
@@ -506,23 +536,10 @@ class CampaignRunner:
     retry:
         The :class:`~repro.faults.plan.RetryPolicy` governing the
         supervised dispatch loop (attempts, backoff, per-task deadlines,
-        worker-death grace).  Defaults to ``RetryPolicy()``.  The
-        process backend is *always* supervised — real worker deaths are
-        survived whether or not chaos is injected; the in-process
-        backends route through the supervisor only when ``faults`` is
-        set, keeping the fault-free fast path untouched.
-    cost_model:
-        An optional frozen :class:`~repro.campaign.costmodel.CostModel`.
-        When set, the chunked/process/batched backends size their chunks
-        and waves by *expected cost* toward ``target_task_seconds`` (via
-        :func:`~repro.campaign.costmodel.plan_chunks`) and submit the
-        longest-expected tasks first, instead of the even count split.
-        Pure scheduling: outcomes are reassembled by spec position, so
-        the :class:`CampaignResult` is identical with any model or none.
-        An explicit ``chunk_size`` wins over the model.
-    target_task_seconds:
-        The per-task latency the cost-model planner sizes chunks toward
-        (default ``0.25``).  Ignored without a ``cost_model``.
+        worker-death grace).  Defaults to ``RetryPolicy()``.  Every
+        campaign is supervised, so a raising task is retried, bisected
+        and quarantined the same way on every backend, with or without
+        injected chaos.
     """
 
     backend: str = "serial"
@@ -531,8 +548,6 @@ class CampaignRunner:
     batch: bool = False
     faults: Optional[FaultPlan] = None
     retry: Optional[RetryPolicy] = None
-    cost_model: Optional[CostModel] = None
-    target_task_seconds: float = 0.25
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -543,9 +558,6 @@ class CampaignRunner:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.target_task_seconds <= 0:
-            raise ConfigurationError(
-                f"target_task_seconds must be > 0, got {self.target_task_seconds}")
 
     # -- public API --------------------------------------------------------
 
@@ -561,7 +573,7 @@ class CampaignRunner:
         """Compile (if needed) and execute a campaign.
 
         ``on_outcome(outcome, seconds)`` fires in the calling process as
-        each outcome becomes available; ``progress`` receives one
+        each task's outcomes become available; ``progress`` receives one
         :class:`ScenarioEvent` per finished scenario (worker-side under
         the process backend); ``should_skip(spec)`` is consulted once per
         scenario at dispatch time and drops the scenario when ``True``.
@@ -589,61 +601,96 @@ class CampaignRunner:
 
         stats = FaultStats()
         dispatch = DispatchStats()
+        results: Dict[int, Tuple[ScenarioOutcome, float]] = {}
+
+        def record(indices: Sequence[int],
+                   outcomes: Sequence[ScenarioOutcome],
+                   timings: Sequence[float]) -> None:
+            for index, outcome, seconds in zip(indices, outcomes, timings):
+                results[index] = (outcome, seconds)
+                if on_outcome is not None:
+                    on_outcome(outcome, seconds)
+
         started = time.perf_counter()
-        if self.batch:
-            outcomes, timings, workers = self._run_batched(
-                specs, on_outcome, progress, should_skip, telemetry, stats,
-                dispatch)
-        elif self.backend == "serial":
-            if self.faults is None:
-                outcomes, timings = self._run_inprocess(
-                    [specs], on_outcome, progress, should_skip, telemetry,
-                    per_scenario=True)
-            else:
-                outcomes, timings = self._run_supervised_inline(
-                    self._spec_tasks(specs, should_skip),
-                    on_outcome, progress, telemetry, stats)
-            workers = 1
-        elif self.backend == "chunked":
-            plan = self._plan(specs)
-            if plan is not None:
-                # Planned chunks complete longest-first, so outcomes must
-                # be reassembled by position — the supervised inline path
-                # already does exactly that.
-                outcomes, timings = self._run_supervised_inline(
-                    self._planned_tasks(specs, plan, should_skip),
-                    on_outcome, progress, telemetry, stats)
-            elif self.faults is None:
-                chunks = _chunk(specs, self._effective_chunk_size(len(specs), 1))
-                outcomes, timings = self._run_inprocess(
-                    chunks, on_outcome, progress, should_skip, telemetry,
-                    per_scenario=False)
-            else:
-                outcomes, timings = self._run_supervised_inline(
-                    self._chunk_tasks(
-                        specs, self._effective_chunk_size(len(specs), 1),
-                        should_skip),
-                    on_outcome, progress, telemetry, stats)
-            workers = 1
+        workers = self._effective_workers()
+        tasks, task_count = self.plan(specs, should_skip)
+        if workers > 1 and task_count:
+            workers = self._run_on_pool(
+                tasks, min(workers, task_count), progress, telemetry, record,
+                stats, dispatch)
         else:
-            outcomes, timings, workers = self._run_process(
-                specs, on_outcome, progress, should_skip, telemetry, stats,
-                dispatch)
+            self._make_supervisor(
+                record, progress, telemetry, stats).run_inline(tasks)
+            workers = 1
         elapsed = time.perf_counter() - started
 
+        ordered = sorted(results)
         return CampaignResult(
-            outcomes=tuple(outcomes),
+            outcomes=tuple(results[i][0] for i in ordered),
             backend=self.backend,
             workers=workers,
             elapsed_seconds=elapsed,
-            scenario_seconds=tuple(timings),
+            scenario_seconds=tuple(results[i][1] for i in ordered),
             fault_stats=stats,
             dispatch_stats=dispatch,
         )
 
+    def plan(
+        self,
+        specs: Sequence[ScenarioSpec],
+        should_skip: Optional[SkipHook] = None,
+    ) -> Tuple[Iterable[TaskSpec], int]:
+        """The campaign's ``(fn, specs, positions)`` tasks and their count.
+
+        Task size is where the backends differ: one spec per task on
+        ``"serial"``, :attr:`chunk_size` specs (default: an even
+        split into about ``4 × workers`` tasks) on ``"chunked"`` and
+        ``"process"``.  ``positions`` index into ``specs``, so outcomes
+        reassemble in spec order whatever order the tasks complete in.
+
+        Without :attr:`batch` the tasks are lazy and ``should_skip`` is
+        consulted as each task is drawn — after earlier completions were
+        delivered, which is what adaptive budgets rely on — and the count
+        is an upper bound.  With :attr:`batch` skips are applied up front
+        and the live specs are split by
+        :func:`~repro.simulation.batch_kernel.partition_waves`: each wave
+        becomes :func:`_run_wave` tasks (whole on ``"serial"``, cut at
+        the chunk size elsewhere) and the scalar leftovers
+        :func:`_run_batch` tasks at the backend's usual size.
+        """
+        workers = self._effective_workers()
+        if not self.batch:
+            size = (1 if self.backend == "serial"
+                    else self._effective_chunk_size(len(specs), workers))
+            return (_slices(_run_batch, specs, range(len(specs)), size,
+                            should_skip),
+                    -(-len(specs) // size))
+
+        # Function-level import: the kernel's scalar fallback imports
+        # run_scenario from this module.
+        from repro.simulation.batch_kernel import partition_waves
+
+        live = [position for position, spec in enumerate(specs)
+                if should_skip is None or not should_skip(spec)]
+        waves, scalar = partition_waves([specs[p] for p in live])
+        if self.backend == "serial":
+            wave_size, scalar_size = len(live) or 1, 1
+        else:
+            wave_size = scalar_size = self._effective_chunk_size(
+                len(live), workers)
+        tasks: List[TaskSpec] = []
+        for wave in waves:
+            tasks.extend(_slices(
+                _run_wave, specs, [live[i] for i in wave], wave_size))
+        tasks.extend(_slices(
+            _run_batch, specs, [live[i] for i in scalar], scalar_size))
+        return tasks, len(tasks)
+
     # -- internals ---------------------------------------------------------
 
     def _effective_workers(self) -> int:
+        if self.backend != "process":
+            return 1
         if self.workers is not None:
             return self.workers
         return max(1, min(os.cpu_count() or 1, 8))
@@ -655,86 +702,8 @@ class CampaignRunner:
             return 1
         return max(1, -(-total // max(1, workers * 4)))
 
-    @staticmethod
-    def _filter_chunk(
-        chunk: Sequence[ScenarioSpec], should_skip: Optional[SkipHook]
-    ) -> Tuple[ScenarioSpec, ...]:
-        if should_skip is None:
-            return tuple(chunk)
-        return tuple(spec for spec in chunk if not should_skip(spec))
-
     def _retry_policy(self) -> RetryPolicy:
         return self.retry if self.retry is not None else RetryPolicy()
-
-    @staticmethod
-    def _spec_tasks(specs: Sequence[ScenarioSpec],
-                    should_skip: Optional[SkipHook]):
-        """Lazy per-scenario tasks (serial-backend granularity)."""
-        for position, spec in enumerate(specs):
-            if should_skip is not None and should_skip(spec):
-                continue
-            yield (_run_batch, (spec,), (position,))
-
-    @staticmethod
-    def _chunk_tasks(specs: Sequence[ScenarioSpec], size: int,
-                     should_skip: Optional[SkipHook]):
-        """Lazy chunk tasks; ``should_skip`` is consulted at submission
-        time, after earlier completions were delivered — the semantics
-        adaptive budgets rely on."""
-        for start in range(0, len(specs), size):
-            live_specs: List[ScenarioSpec] = []
-            live_positions: List[int] = []
-            for offset, spec in enumerate(specs[start:start + size]):
-                if should_skip is not None and should_skip(spec):
-                    continue
-                live_specs.append(spec)
-                live_positions.append(start + offset)
-            if live_specs:
-                yield (_run_batch, tuple(live_specs), tuple(live_positions))
-
-    def _plan(self, specs: Sequence[ScenarioSpec]) -> Optional[List[Tuple[int, ...]]]:
-        """Cost-planned position groups, or ``None`` for the even split.
-
-        ``None`` (no model, an explicit ``chunk_size`` override, or an
-        empty campaign) keeps the historical chunking byte-for-byte.
-        """
-        if self.cost_model is None or self.chunk_size is not None or not specs:
-            return None
-        return plan_chunks(specs, self.cost_model,
-                           target_seconds=self.target_task_seconds)
-
-    @staticmethod
-    def _planned_tasks(specs: Sequence[ScenarioSpec],
-                       plan: Sequence[Tuple[int, ...]],
-                       should_skip: Optional[SkipHook]):
-        """Lazy tasks over cost-planned position groups (longest first).
-
-        Same submission-time ``should_skip`` semantics as
-        :meth:`_chunk_tasks`; outcomes land by position, so the planned
-        order cannot influence the campaign result.
-        """
-        for group in plan:
-            live_specs: List[ScenarioSpec] = []
-            live_positions: List[int] = []
-            for position in group:
-                spec = specs[position]
-                if should_skip is not None and should_skip(spec):
-                    continue
-                live_specs.append(spec)
-                live_positions.append(position)
-            if live_specs:
-                yield (_run_batch, tuple(live_specs), tuple(live_positions))
-
-    def _collect_recorder(self, results: Dict[int, Tuple[ScenarioOutcome, float]],
-                          on_outcome: Optional[OutcomeHook]):
-        """A supervisor ``record`` hook writing slots + delivering hooks."""
-        def record(indices: Sequence[int],
-                   outcomes: Sequence[ScenarioOutcome],
-                   timings: Sequence[float]) -> None:
-            for index, outcome, seconds in zip(indices, outcomes, timings):
-                results[index] = (outcome, seconds)
-            self._deliver(outcomes, timings, on_outcome)
-        return record
 
     def _make_supervisor(self, record, progress: Optional[ProgressHook],
                          telemetry: Optional[WorkerTelemetry],
@@ -747,210 +716,6 @@ class CampaignRunner:
             record=record, progress=progress, telemetry=telemetry,
             max_outstanding=max_outstanding, pack=pack, dispatch=dispatch)
 
-    def _run_supervised_inline(
-        self,
-        tasks,
-        on_outcome: Optional[OutcomeHook],
-        progress: Optional[ProgressHook],
-        telemetry: Optional[WorkerTelemetry],
-        stats: FaultStats,
-    ) -> Tuple[List[ScenarioOutcome], List[float]]:
-        """In-process supervised execution (faulty serial/chunked runs)."""
-        results: Dict[int, Tuple[ScenarioOutcome, float]] = {}
-        supervisor = self._make_supervisor(
-            self._collect_recorder(results, on_outcome), progress, telemetry,
-            stats)
-        supervisor.run_inline(tasks)
-        ordered = sorted(results)
-        return ([results[i][0] for i in ordered],
-                [results[i][1] for i in ordered])
-
-    def _run_inprocess(
-        self,
-        chunks: Sequence[Sequence[ScenarioSpec]],
-        on_outcome: Optional[OutcomeHook],
-        progress: Optional[ProgressHook],
-        should_skip: Optional[SkipHook],
-        telemetry: Optional[WorkerTelemetry] = None,
-        *,
-        per_scenario: bool,
-    ) -> Tuple[List[ScenarioOutcome], List[float]]:
-        """Serial/chunked execution with hooks.
-
-        ``per_scenario=True`` (serial backend) delivers ``on_outcome``
-        after every scenario and consults ``should_skip`` before each
-        one; the chunked backend mirrors the process backend instead —
-        skip decisions and ``on_outcome`` happen at chunk granularity.
-        """
-        outcomes: List[ScenarioOutcome] = []
-        timings: List[float] = []
-        for chunk in chunks:
-            if per_scenario:
-                for spec in chunk:
-                    if should_skip is not None and should_skip(spec):
-                        continue
-                    batch_outcomes, batch_timings = _run_batch(
-                        (spec,), progress, telemetry)
-                    self._deliver(batch_outcomes, batch_timings, on_outcome)
-                    outcomes.extend(batch_outcomes)
-                    timings.extend(batch_timings)
-            else:
-                live = self._filter_chunk(chunk, should_skip)
-                if not live:
-                    continue
-                batch_outcomes, batch_timings = _run_batch(
-                    live, progress, telemetry)
-                self._deliver(batch_outcomes, batch_timings, on_outcome)
-                outcomes.extend(batch_outcomes)
-                timings.extend(batch_timings)
-        return outcomes, timings
-
-    @staticmethod
-    def _deliver(
-        outcomes: Sequence[ScenarioOutcome],
-        timings: Sequence[float],
-        on_outcome: Optional[OutcomeHook],
-    ) -> None:
-        if on_outcome is None:
-            return
-        for outcome, seconds in zip(outcomes, timings):
-            on_outcome(outcome, seconds)
-
-    def _run_batched(
-        self,
-        specs: Sequence[ScenarioSpec],
-        on_outcome: Optional[OutcomeHook],
-        progress: Optional[ProgressHook],
-        should_skip: Optional[SkipHook],
-        telemetry: Optional[WorkerTelemetry],
-        stats: FaultStats,
-        dispatch: DispatchStats,
-    ) -> Tuple[List[ScenarioOutcome], List[float], int]:
-        """Partition specs into kernel waves plus a scalar remainder.
-
-        Skips are applied first, so cached fingerprints never inflate a
-        wave.  Waves keep their first-occurrence order; the scalar
-        leftovers follow in spec order.  For the parallel backends both
-        waves and scalar leftovers are split at the usual chunk size —
-        or, with a :attr:`cost_model`, at cost-sized boundaries with the
-        longest-expected tasks submitted first — so a single large wave
-        cannot serialise the pool.  Results are reassembled by original
-        spec position either way.
-        """
-        # Function-level import: the kernel's scalar fallback imports
-        # run_scenario from this module.
-        from repro.simulation.batch_kernel import partition_waves
-
-        live = [
-            (index, spec) for index, spec in enumerate(specs)
-            if should_skip is None or not should_skip(spec)
-        ]
-        live_specs = [spec for _, spec in live]
-        waves, scalar = partition_waves(live_specs)
-
-        workers = self._effective_workers() if self.backend == "process" else 1
-        # Serial batched runs always take whole waves (max amortisation);
-        # the cost model only re-sizes where parallelism can use it.
-        model = (self.cost_model
-                 if self.backend != "serial" and self.chunk_size is None
-                 else None)
-        if self.backend == "serial":
-            piece_size = len(live_specs) or 1  # whole waves: max amortisation
-        else:
-            piece_size = self._effective_chunk_size(len(live_specs), workers)
-
-        def pieces(positions: Sequence[int]) -> List[Sequence[int]]:
-            if model is None:
-                return [positions[start:start + piece_size]
-                        for start in range(0, len(positions), piece_size)]
-            groups = plan_chunks(
-                [live_specs[p] for p in positions], model,
-                target_seconds=self.target_task_seconds)
-            return [[positions[i] for i in group] for group in groups]
-
-        tasks: List[Tuple[Callable, Tuple[ScenarioSpec, ...], Tuple[int, ...]]] = []
-        for positions in waves:
-            for piece in pieces(positions):
-                tasks.append((
-                    _run_wave,
-                    tuple(live_specs[p] for p in piece),
-                    tuple(live[p][0] for p in piece),
-                ))
-        for piece in pieces(scalar):
-            tasks.append((
-                _run_batch,
-                tuple(live_specs[p] for p in piece),
-                tuple(live[p][0] for p in piece),
-            ))
-        if model is not None:
-            # Longest-expected first across waves *and* scalar leftovers;
-            # ties broken by first slot, so the order is deterministic.
-            tasks.sort(key=lambda task: (
-                -model.estimate_total(task[1]), task[2][0]))
-
-        results: Dict[int, Tuple[ScenarioOutcome, float]] = {}
-
-        def record(indices: Sequence[int],
-                   outcomes: Sequence[ScenarioOutcome],
-                   timings: Sequence[float]) -> None:
-            for index, outcome, seconds in zip(indices, outcomes, timings):
-                results[index] = (outcome, seconds)
-            self._deliver(outcomes, timings, on_outcome)
-
-        if self.backend == "process" and tasks and workers > 1:
-            workers = self._run_on_pool(
-                iter(tasks), min(workers, len(tasks)),
-                progress, telemetry, record, stats, dispatch)
-        elif self.faults is None:
-            for fn, task_specs, indices in tasks:
-                task_outcomes, task_timings = fn(task_specs, progress, telemetry)
-                record(indices, task_outcomes, task_timings)
-            workers = 1
-        else:
-            self._make_supervisor(
-                record, progress, telemetry, stats).run_inline(tasks)
-            workers = 1
-        ordered = sorted(results)
-        return ([results[i][0] for i in ordered],
-                [results[i][1] for i in ordered], workers)
-
-    def _run_process(
-        self,
-        specs: Sequence[ScenarioSpec],
-        on_outcome: Optional[OutcomeHook],
-        progress: Optional[ProgressHook],
-        should_skip: Optional[SkipHook],
-        telemetry: Optional[WorkerTelemetry],
-        stats: FaultStats,
-        dispatch: DispatchStats,
-    ) -> Tuple[List[ScenarioOutcome], List[float], int]:
-        workers = self._effective_workers()
-        if not specs or workers == 1:
-            if self.faults is None:
-                outcomes, timings = self._run_inprocess(
-                    [specs], on_outcome, progress, should_skip, telemetry,
-                    per_scenario=True)
-            else:
-                outcomes, timings = self._run_supervised_inline(
-                    self._spec_tasks(specs, should_skip),
-                    on_outcome, progress, telemetry, stats)
-            return outcomes, timings, 1
-        plan = self._plan(specs)
-        if plan is not None:
-            tasks = self._planned_tasks(specs, plan, should_skip)
-            task_count = len(plan)
-        else:
-            chunk_size = self._effective_chunk_size(len(specs), workers)
-            tasks = self._chunk_tasks(specs, chunk_size, should_skip)
-            task_count = -(-len(specs) // chunk_size)
-        results: Dict[int, Tuple[ScenarioOutcome, float]] = {}
-        workers = self._run_on_pool(
-            tasks, min(workers, task_count), progress, telemetry,
-            self._collect_recorder(results, on_outcome), stats, dispatch)
-        ordered = sorted(results)
-        return ([results[i][0] for i in ordered],
-                [results[i][1] for i in ordered], workers)
-
     def _run_on_pool(
         self,
         tasks,
@@ -961,7 +726,7 @@ class CampaignRunner:
         stats: FaultStats,
         dispatch: Optional[DispatchStats] = None,
     ) -> int:
-        """Shared pool plumbing for both process backends.
+        """Pool plumbing for the process backend.
 
         ``tasks`` (an iterable of ``(fn, specs, slot indices)``) is
         consumed lazily by the supervisor at submission time.  The

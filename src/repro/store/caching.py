@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.campaign.costmodel import OnlineCostModel
 from repro.campaign.grid import ScenarioGrid
 from repro.campaign.runner import CampaignResult, CampaignRunner, ScenarioEvent
 from repro.campaign.scenarios import get_kind
@@ -118,13 +117,6 @@ class CachingRunner:
         spans collected from sampled workers — and finishes it, writing
         any configured trace/metrics exports.  The caller keeps ownership
         of the session and can inspect or re-export it afterwards.
-    cost_model:
-        Optional :class:`~repro.campaign.costmodel.OnlineCostModel`.
-        Every *executed* outcome's wall seconds are fed to it, so a
-        sweep driver can snapshot it between campaigns and hand the
-        snapshot to the next :class:`CampaignRunner` as its
-        ``cost_model`` — scheduling learns across runs while each
-        individual plan stays a frozen, reproducible function.
 
     After each ``run``, :attr:`last_stats` holds the run's
     :class:`CacheStats` and :attr:`last_campaign_id` the journal id of
@@ -141,14 +133,12 @@ class CachingRunner:
         progress: Optional[ProgressReporter] = None,
         journal: Optional[Union[str, Path, CampaignJournal]] = None,
         telemetry: Optional[TelemetrySession] = None,
-        cost_model: Optional[OnlineCostModel] = None,
     ):
         self.store = store
         self.runner = runner if runner is not None else CampaignRunner()
         self.policy = policy
         self.progress = progress
         self.telemetry = telemetry
-        self.cost_model = cost_model
         if journal is None or isinstance(journal, CampaignJournal):
             self.journal = journal
             self._owns_journal = False
@@ -271,8 +261,6 @@ class CachingRunner:
             if fingerprint is None:  # pragma: no cover - defensive only
                 fingerprint = fingerprint_spec(outcome.spec)
             executed_seconds[fingerprint] = seconds
-            if self.cost_model is not None:
-                self.cost_model.observe(outcome.spec, seconds)
             quarantined = (
                 outcome.verdict == "error"
                 and (outcome.error or "").startswith("QuarantineError")

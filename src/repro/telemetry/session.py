@@ -247,10 +247,6 @@ class TelemetrySession:
                       if name.endswith("_seconds") else f"dispatch:{name}")
             if value:
                 self.metrics.counter(metric, timing=True).inc(value)
-        if shipped:
-            self.metrics.histogram(
-                "dispatch:bytes_per_task", timing=True,
-            ).observe(dispatch_stats.get("wire_bytes", 0) // shipped)
         if store_io:
             for name, value in store_io.items():
                 if isinstance(value, int) and value:

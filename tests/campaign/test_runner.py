@@ -168,6 +168,21 @@ class TestRunnerHooks:
         result = CampaignRunner().run(SPECS, on_outcome=lambda o, s: seen.append(o))
         assert seen == list(result.outcomes)
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_serial_delivers_each_scalar_outcome_after_its_event(self, batch):
+        # FULL recording never batches, so these are scalar leftovers even
+        # under batch=True.  Serial runs them one spec per task: each
+        # outcome reaches on_outcome (and a store) right after its
+        # scenario's event, not all at the end of the campaign.
+        specs = theorem8_specs([4], seeds=(1,))[:6]
+        log = []
+        CampaignRunner(batch=batch).run(
+            specs,
+            progress=lambda event: log.append("event"),
+            on_outcome=lambda outcome, seconds: log.append("outcome"),
+        )
+        assert log == ["event", "outcome"] * len(specs)
+
     def test_process_backend_delivers_on_outcome_in_parent(self):
         import os
 
