@@ -53,9 +53,10 @@ def main() -> None:
         sqlite_path = Path(tmp) / "theorem8.sqlite"
         journal_path = Path(os.environ.get("REPRO_JOURNAL", Path(tmp) / "journal.jsonl"))
 
-        # 1. Cold run: outcomes are persisted incrementally, with live
-        #    pool-wide progress from worker-side events, and every
-        #    decision journaled.
+        # 1. Cold run: outcomes are persisted incrementally, progress
+        #    arrives as each worker task settles (events keep the pid
+        #    of the worker that ran them), and every decision is
+        #    journaled.
         with CachingRunner(
             open_store(jsonl_path),
             CampaignRunner(backend="process", workers=2),

@@ -24,7 +24,7 @@ The library contains four layers:
    per-scenario seeding, executed serially or across worker processes
    with identical results; plus the persistent result store
    (:mod:`repro.store`): content-addressed caching, kill/resume,
-   adaptive budgets and pool-wide live progress for long campaigns.
+   adaptive budgets and per-task progress for long campaigns.
 
 Quickstart::
 

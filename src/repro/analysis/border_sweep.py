@@ -157,8 +157,9 @@ def sweep_theorem8(
     persistent: already-stored scenarios are served from cache, fresh
     outcomes are persisted incrementally, and a killed sweep resumes
     where it stopped — producing the identical points either way.
-    ``progress`` (:class:`repro.store.ProgressReporter`) streams
-    pool-wide per-scenario events while the campaign runs.
+    ``progress`` (:class:`repro.store.ProgressReporter`) receives one
+    event per scenario while the campaign runs — under the process
+    backend, a task's events as that task settles.
 
     ``recording`` selects the executor's
     :class:`~repro.simulation.recording.RecordingPolicy` for every

@@ -1,4 +1,4 @@
-"""Campaign execution: one dispatch pipeline behind three backends.
+"""Campaign execution: one dispatch pipeline behind two backends.
 
 :class:`CampaignRunner` executes a flat list of scenario specs (or a
 :class:`~repro.campaign.grid.ScenarioGrid`, which it compiles first) and
@@ -20,13 +20,12 @@ runs the same pipeline::
   spec's slot and fires ``on_outcome``; the result lists outcomes in
   spec order, whatever order the tasks completed in.
 
-The three backends differ only in task size and executor:
+The two backends differ only in task size and executor:
 
 * ``"serial"`` — one spec per task (whole waves when batching), run
-  inline; the reference backend every other backend must agree with.
-* ``"chunked"`` — chunk-sized tasks, run inline: chunk boundaries and
-  per-chunk hook delivery without any forking.
-* ``"process"`` — chunk-sized tasks on a pool of worker processes.
+  inline; the reference backend the process backend must agree with.
+* ``"process"`` — chunk-sized tasks on a pool of worker processes, or
+  inline without forking when it has one worker.
   Because specs are plain data and every seeded scheduler derives its
   RNG stream from the scenario's identity
   (:meth:`ScenarioSpec.derived_seed`), the outcome of a scenario does
@@ -43,10 +42,13 @@ persistent store (:mod:`repro.store`) builds on:
   persist results incrementally, so a killed campaign resumes from its
   last completed task instead of from scratch.
 * ``progress`` — a callable receiving one :class:`ScenarioEvent` per
-  finished scenario.  Under the process backend the events are produced
-  *worker-side* and shipped over a queue, so a progress reporter sees
-  pool-wide liveness (including which worker pid ran what), not just
-  chunk completions.
+  scenario, in the calling thread, exactly once.  Events are built where
+  the scenario ran and travel back on their task's result together with
+  the outcomes, so they keep the pid of the worker that ran them; the
+  supervisor delivers them as the task settles — under the process
+  backend, per task (about ``total ÷ (4 × workers)`` scenarios by
+  default), not per scenario.  A task whose worker dies delivers
+  nothing; its retry delivers each scenario once.
 * ``should_skip`` — consulted once per scenario at dispatch time; a
   ``True`` return drops the scenario from the campaign.  Adaptive
   budgets (:class:`repro.store.EarlyStopPolicy`) use this to stop
@@ -94,7 +96,7 @@ from repro.telemetry.spans import SpanRecord, Tracer, activated
 
 __all__ = ["CampaignRunner", "CampaignResult", "ScenarioEvent", "run_scenario"]
 
-BACKENDS = ("serial", "chunked", "process")
+BACKENDS = ("serial", "process")
 
 #: Format tag of :meth:`CampaignResult.to_json` payloads.
 RESULT_JSON_FORMAT = 1
@@ -110,12 +112,13 @@ class ScenarioEvent:
     """One scenario finished somewhere in the campaign.
 
     Events are produced where the scenario ran (worker-side under the
-    process backend) and are plain picklable data, so they can cross the
-    process boundary on a queue.  ``cached`` marks events synthesised by
-    :class:`repro.store.CachingRunner` for store hits, which never reach
-    a worker.  ``fingerprint`` is the scenario's store digest and
-    ``usage`` its :class:`~repro.provenance.usage.ResourceUsage` — both
-    are what the campaign journal persists per scenario.  ``spans`` are
+    process backend) and are plain picklable data, so they cross the
+    process boundary inside their task's result.  ``cached`` marks
+    events synthesised by :class:`repro.store.CachingRunner` for store
+    hits, which never reach a worker.  ``fingerprint`` is the scenario's
+    store digest and ``usage`` its
+    :class:`~repro.provenance.usage.ResourceUsage` — both are what the
+    campaign journal persists per scenario.  ``spans`` are
     the telemetry spans recorded while the scenario ran (empty unless a
     :class:`~repro.telemetry.session.WorkerTelemetry` sampled it):
     worker-side span buffers ship back on the event exactly like every
@@ -148,102 +151,54 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
 
 _log = get_logger("campaign.runner")
 
-#: Worker-side event sink.  ``None`` in the parent; pool workers set it to
-#: ``queue.put`` via :func:`_init_worker` so that ``_run_batch`` streams
-#: one event per finished scenario back to the reporter.
-_WORKER_EVENT_SINK: Optional[ProgressHook] = None
-
-#: The raw worker-side event queue (kept so an injected crash can flush
-#: its feeder thread before SIGKILLing the worker — a kill mid-write
-#: would wedge the queue for every other worker).
-_WORKER_EVENT_QUEUE = None
-
-#: Worker-side telemetry slice (campaign id + sampling stride).  ``None``
-#: unless the campaign runs with telemetry; installed alongside the event
-#: sink, because spans travel back on the same events.
-_WORKER_TELEMETRY: Optional[WorkerTelemetry] = None
-
-#: Worker-side fault plan.  ``None`` in the parent and on fault-free
-#: campaigns; pool workers receive the campaign's plan at fork time.
-_WORKER_FAULTS: Optional[FaultPlan] = None
-
 #: ``True`` only inside pool worker processes.  Gates the worker-level
 #: fault kinds (crash/hang): injecting them into the calling process
 #: would take the campaign down instead of exercising the supervisor.
 _IN_POOL_WORKER = False
 
 
-def _init_worker(event_queue, telemetry: Optional[WorkerTelemetry] = None,
-                 faults: Optional[FaultPlan] = None) -> None:
-    """Pool initializer: install this worker's sinks, slice and chaos."""
-    global _WORKER_EVENT_SINK, _WORKER_EVENT_QUEUE, _WORKER_TELEMETRY
-    global _WORKER_FAULTS, _IN_POOL_WORKER
-    _WORKER_EVENT_QUEUE = event_queue
-    _WORKER_EVENT_SINK = event_queue.put if event_queue is not None else None
-    _WORKER_TELEMETRY = telemetry
-    _WORKER_FAULTS = faults
+def _init_worker() -> None:
+    """Pool initializer: mark this process as a pool worker."""
+    global _IN_POOL_WORKER
     _IN_POOL_WORKER = True
 
 
-def _flush_worker_queue() -> None:
-    """Drain this worker's event-queue feeder (pre-crash hygiene).
-
-    An injected crash SIGKILLs the worker; if its queue feeder thread
-    were mid-write, the kill could leave the shared pipe's write lock
-    held and stall every other worker's events.  Closing and joining the
-    feeder first makes the injected death clean from the queue's point
-    of view while staying a real SIGKILL for the pool and supervisor.
-    """
-    queue = _WORKER_EVENT_QUEUE
-    if queue is None:
-        return
-    try:
-        queue.close()
-        queue.join_thread()
-    except Exception:  # noqa: BLE001 - about to die anyway
-        pass
-
-
-def _emit_event(sink: Optional[ProgressHook], spec: ScenarioSpec,
-                outcome: ScenarioOutcome, seconds: float,
-                spans: Tuple[SpanRecord, ...] = ()) -> None:
-    if sink is None:
-        return
+def _event(spec: ScenarioSpec, outcome: ScenarioOutcome, seconds: float,
+           spans: Tuple[SpanRecord, ...] = ()) -> ScenarioEvent:
+    """The :class:`ScenarioEvent` of one finished scenario, stamped with
+    the pid of the process that ran it."""
     # Function-level import: repro.store's caching layer imports this
     # module, so the fingerprint helper cannot be imported at the top.
     from repro.store.fingerprint import fingerprint_spec
 
-    try:
-        sink(ScenarioEvent(
-            label=spec.label(),
-            verdict=outcome.verdict,
-            seconds=seconds,
-            worker_pid=os.getpid(),
-            fingerprint=fingerprint_spec(spec),
-            usage=ResourceUsage.of_outcome(outcome, seconds=seconds),
-            spans=spans,
-        ))
-    except Exception:  # noqa: BLE001 - progress must never break a campaign
-        pass
+    return ScenarioEvent(
+        label=spec.label(),
+        verdict=outcome.verdict,
+        seconds=seconds,
+        worker_pid=os.getpid(),
+        fingerprint=fingerprint_spec(spec),
+        usage=ResourceUsage.of_outcome(outcome, seconds=seconds),
+        spans=spans,
+    )
 
 
 def _run_batch(
     specs: Sequence[ScenarioSpec],
-    event_sink: Optional[ProgressHook] = None,
+    events_wanted: bool = False,
     telemetry: Optional[WorkerTelemetry] = None,
     attempt: int = 1,
     faults: Optional[FaultPlan] = None,
-) -> Tuple[List[ScenarioOutcome], List[float]]:
+) -> Tuple[List[ScenarioOutcome], List[float], List[ScenarioEvent]]:
     """Worker entry point: run a chunk of specs, timing each scenario.
 
-    ``event_sink`` and ``telemetry`` are passed explicitly by the
-    in-process backends; pool workers leave them ``None`` and fall back
-    to the queue sink / telemetry slice installed by
-    :func:`_init_worker`.  ``attempt`` is the supervisor's retry count
-    for this submission and ``faults`` the injected chaos plan (pool
-    workers inherit it from the initializer): planned faults fire
-    *before* a scenario executes, so a crashed or raising task never
-    produced a partial outcome for the scenario that triggered it.
+    Returns ``(outcomes, timings, events)``; ``events`` holds one
+    :class:`ScenarioEvent` per scenario when ``events_wanted`` (a
+    ``progress`` hook listens) and is empty otherwise.  The supervisor
+    passes the same arguments inline and on the pool.  ``attempt`` is
+    its retry count for this submission and ``faults`` the injected
+    chaos plan: planned faults fire *before* a scenario executes, so a
+    crashed or raising task never produced a partial outcome for the
+    scenario that triggered it.
 
     For each *sampled* scenario a fresh :class:`Tracer` is activated
     around the execution — the scenario root span nests the executor's
@@ -258,20 +213,17 @@ def _run_batch(
     retried descriptor costs nothing — and passes real sequences through.
     """
     specs = ensure_specs(specs)
-    sink = event_sink if event_sink is not None else _WORKER_EVENT_SINK
-    telem = telemetry if telemetry is not None else _WORKER_TELEMETRY
-    plan = faults if faults is not None else _WORKER_FAULTS
     outcomes: List[ScenarioOutcome] = []
     timings: List[float] = []
+    events: List[ScenarioEvent] = []
     for spec in specs:
-        if plan is not None:
-            plan.perform(spec, attempt, in_worker=_IN_POOL_WORKER,
-                         before_crash=_flush_worker_queue)
+        if faults is not None:
+            faults.perform(spec, attempt, in_worker=_IN_POOL_WORKER)
         spans: Tuple[SpanRecord, ...] = ()
         started = time.perf_counter()
-        if telem is not None and telem.samples(spec):
-            tracer = Tracer(
-                trace_id=telem.campaign, capture_phases=telem.capture_phases)
+        if telemetry is not None and telemetry.samples(spec):
+            tracer = Tracer(trace_id=telemetry.campaign,
+                            capture_phases=telemetry.capture_phases)
             with activated(tracer):
                 with tracer.span(
                     "scenario", label=spec.label(), kind=spec.kind,
@@ -284,19 +236,20 @@ def _run_batch(
         seconds = time.perf_counter() - started
         outcomes.append(outcome)
         timings.append(seconds)
-        _emit_event(sink, spec, outcome, seconds, spans)
-    return outcomes, timings
+        if events_wanted:
+            events.append(_event(spec, outcome, seconds, spans))
+    return outcomes, timings, events
 
 
 def _run_wave(
     specs: Sequence[ScenarioSpec],
-    event_sink: Optional[ProgressHook] = None,
+    events_wanted: bool = False,
     telemetry: Optional[WorkerTelemetry] = None,
     attempt: int = 1,
     faults: Optional[FaultPlan] = None,
-) -> Tuple[List[ScenarioOutcome], List[float]]:
+) -> Tuple[List[ScenarioOutcome], List[float], List[ScenarioEvent]]:
     """Worker entry point for one batched wave (the sibling of
-    :func:`_run_batch`).
+    :func:`_run_batch`, with the same arguments and result shape).
 
     The whole wave runs in one call to
     :func:`repro.simulation.batch_kernel.execute_wave`, so per-scenario
@@ -310,31 +263,29 @@ def _run_wave(
     from repro.simulation.batch_kernel import execute_wave
 
     specs = ensure_specs(specs)
-    sink = event_sink if event_sink is not None else _WORKER_EVENT_SINK
-    telem = telemetry if telemetry is not None else _WORKER_TELEMETRY
-    plan = faults if faults is not None else _WORKER_FAULTS
-    if plan is not None:
+    if faults is not None:
         # Wave-granular chaos: any planned fault fails (or kills) the
         # whole wave task before the kernel runs, and the supervisor's
         # bisection narrows it down exactly as for scalar chunks.
         for spec in specs:
-            plan.perform(spec, attempt, in_worker=_IN_POOL_WORKER,
-                         before_crash=_flush_worker_queue)
-    sampled = [telem is not None and telem.samples(spec) for spec in specs]
+            faults.perform(spec, attempt, in_worker=_IN_POOL_WORKER)
+    sampled = [telemetry is not None and telemetry.samples(spec)
+               for spec in specs]
     tracer: Optional[Tracer] = None
     if any(sampled):
-        tracer = Tracer(
-            trace_id=telem.campaign, capture_phases=telem.capture_phases)
+        tracer = Tracer(trace_id=telemetry.campaign,
+                        capture_phases=telemetry.capture_phases)
     started = time.perf_counter()
     outcomes = execute_wave(specs, tracer=tracer)
     seconds = (time.perf_counter() - started) / len(specs) if specs else 0.0
     spans = tracer.drain() if tracer is not None else ()
     first_sampled = sampled.index(True) if tracer is not None else -1
-    timings = [seconds] * len(specs)
-    for position, (spec, outcome) in enumerate(zip(specs, outcomes)):
-        _emit_event(sink, spec, outcome, seconds,
-                    spans if position == first_sampled else ())
-    return list(outcomes), timings
+    events = [
+        _event(spec, outcome, seconds,
+               spans if position == first_sampled else ())
+        for position, (spec, outcome) in enumerate(zip(specs, outcomes))
+    ] if events_wanted else []
+    return list(outcomes), [seconds] * len(specs), events
 
 
 def _slices(fn: Callable, specs: Sequence[ScenarioSpec],
@@ -368,7 +319,7 @@ class CampaignResult:
     #: equality so a chaos run can compare equal to a fault-free one.
     fault_stats: FaultStats = field(default_factory=FaultStats, compare=False)
     #: What shipping the work cost (tasks, wire bytes, queue wait).  Pool
-    #: dispatch accounting only — zero for the in-process backends — and
+    #: dispatch accounting only — zero for inline campaigns — and
     #: excluded from equality for the same reason as ``fault_stats``.
     dispatch_stats: DispatchStats = field(
         default_factory=DispatchStats, compare=False)
@@ -507,13 +458,14 @@ class CampaignRunner:
     Attributes
     ----------
     backend:
-        ``"serial"`` (default), ``"chunked"`` or ``"process"``.
+        ``"serial"`` (default) or ``"process"``.
     workers:
         Worker-process count for the process backend (default: the CPU
-        count, capped at 8).  Ignored by the in-process backends.
+        count, capped at 8); one worker runs its tasks inline, without
+        a pool.  Ignored by the serial backend.
     chunk_size:
-        Scenarios per task for the chunked/process backends (default:
-        an even split into roughly ``4 * workers`` tasks).
+        Scenarios per task for the process backend (default: an even
+        split into roughly ``4 * workers`` tasks).
     batch:
         When ``True``, specs the batched kernel can execute
         (:func:`repro.simulation.batch_kernel.is_batchable`) are grouped
@@ -574,8 +526,9 @@ class CampaignRunner:
 
         ``on_outcome(outcome, seconds)`` fires in the calling process as
         each task's outcomes become available; ``progress`` receives one
-        :class:`ScenarioEvent` per finished scenario (worker-side under
-        the process backend); ``should_skip(spec)`` is consulted once per
+        :class:`ScenarioEvent` per scenario, in the calling thread, just
+        before its outcome (per settled task under the process backend,
+        exactly once even when tasks are retried); ``should_skip(spec)`` is consulted once per
         scenario at dispatch time and drops the scenario when ``True``.
         Without hooks the behaviour is exactly the hook-free campaign.
 
@@ -644,8 +597,8 @@ class CampaignRunner:
 
         Task size is where the backends differ: one spec per task on
         ``"serial"``, :attr:`chunk_size` specs (default: an even
-        split into about ``4 × workers`` tasks) on ``"chunked"`` and
-        ``"process"``.  ``positions`` index into ``specs``, so outcomes
+        split into about ``4 × workers`` tasks) on ``"process"``.
+        ``positions`` index into ``specs``, so outcomes
         reassemble in spec order whatever order the tasks complete in.
 
         Without :attr:`batch` the tasks are lazy and ``should_skip`` is
@@ -732,12 +685,13 @@ class CampaignRunner:
         consumed lazily by the supervisor at submission time.  The
         supervisor owns the dispatch loop — bounded waits, per-task
         deadlines, retry/bisection/quarantine, worker-death re-queueing,
-        in-process degradation when the pool breaks — while this method
-        owns the pool's lifecycle: fork context, worker initializer
-        (event queue + telemetry slice + fault plan), the drain thread,
-        and uniform, deadlock-free teardown.  Tasks cross the pipe as
-        compact wire descriptors (``pack=encode_chunk``); the worker
-        entry points expand them via :func:`ensure_specs`.
+        in-process degradation when the pool breaks — and hands every
+        task its context (event wish, telemetry slice, fault plan) as
+        call arguments; this method owns the pool's lifecycle: fork
+        context and uniform, deadlock-free teardown.  Tasks cross the
+        pipe as compact wire descriptors (``pack=encode_chunk``); the
+        worker entry points expand them via :func:`ensure_specs`.
+        Outcomes and events come back together on the task's result.
         """
         workers = self._effective_workers()
         if "fork" in multiprocessing.get_all_start_methods():
@@ -749,53 +703,32 @@ class CampaignRunner:
             record, progress, telemetry, stats,
             max_outstanding=max(2, workers * 2),
             dispatch=dispatch, pack=encode_chunk)
-        event_queue = context.Queue() if progress is not None else None
-        drain: Optional[threading.Thread] = None
         try:
-            pool = context.Pool(
-                processes=max(1, pool_processes),
-                initializer=_init_worker,
-                initargs=(event_queue, telemetry, self.faults),
-            )
+            pool = context.Pool(processes=max(1, pool_processes),
+                                initializer=_init_worker)
         except (OSError, PermissionError):  # pragma: no cover - locked-down hosts
             # Environments that forbid forking still get a correct (if
             # serial) campaign rather than a crash.
-            if event_queue is not None:
-                event_queue.close()
-                event_queue.join_thread()
             supervisor.run_inline(tasks)
             return 1
-
-        if event_queue is not None:
-            drain = threading.Thread(
-                target=_drain_events, args=(event_queue, progress), daemon=True)
-            drain.start()
 
         try:
             supervisor.run_pool(pool, tasks)
         finally:
-            self._teardown_pool(pool, event_queue, drain)
+            self._teardown_pool(pool)
         return workers
 
-    def _teardown_pool(self, pool, event_queue,
-                       drain: Optional[threading.Thread]) -> None:
-        """Uniform pool/queue teardown, safe on every exit path.
+    def _teardown_pool(self, pool) -> None:
+        """Uniform pool teardown, safe on every exit path.
 
-        Order matters: the sentinel goes onto the event queue *before*
-        ``terminate()`` (killing a worker mid-write used to be able to
-        wedge or truncate the drain), the drain gets a bounded join with
-        a logged warning instead of silent event loss, and the queue is
-        always ``close()``d *and* ``join_thread()``ed — unless the drain
-        timed out, where ``cancel_join_thread()`` avoids blocking on a
-        pipe nobody will ever read.
-
-        Even ``terminate()`` gets a bounded wait: a worker SIGKILLed
-        while blocked in the shared task queue's ``get()`` dies *holding*
-        the queue's reader lock, and ``Pool._terminate_pool`` then
-        deadlocks trying to acquire it.  The terminate runs on a daemon
-        thread; if it wedges, the remaining workers are SIGKILLed
-        directly and the wedged thread is abandoned (every handler
-        thread it could be waiting on is a daemon too).
+        Workers get a bounded join, then ``terminate()`` — and even that
+        gets a bounded wait: a worker SIGKILLed while blocked in the
+        shared task queue's ``get()`` dies *holding* the queue's reader
+        lock, and ``Pool._terminate_pool`` then deadlocks trying to
+        acquire it.  The terminate runs on a daemon thread; if it wedges,
+        the remaining workers are SIGKILLed directly and the wedged
+        thread is abandoned (every handler thread it could be waiting on
+        is a daemon too).
         """
         grace = self._retry_policy().teardown_grace_seconds
         pool.close()
@@ -806,25 +739,6 @@ class CampaignRunner:
             _log.warning(
                 "pool workers still running %.1fs after close (hung or "
                 "saturated); terminating them", grace)
-        drained = True
-        if event_queue is not None:
-            try:
-                event_queue.put(None)
-            except Exception:  # noqa: BLE001 - queue already broken
-                drained = False
-            if drain is not None:
-                # The pool is closed and joined (or being given up on),
-                # so a healthy drain only has buffered events left and
-                # finishes almost instantly; a worker killed holding the
-                # queue's write lock silences it forever, so don't wait
-                # long — lost "ran" events are reconciled by the caller.
-                drain_grace = max(2 * grace, 2.0)
-                drain.join(timeout=drain_grace)
-                if drain.is_alive():
-                    drained = False
-                    _log.warning(
-                        "event drain did not finish within %.1fs; some "
-                        "progress events were lost", drain_grace)
         terminator = threading.Thread(target=pool.terminate, daemon=True)
         terminator.start()
         terminator.join(timeout=max(grace, 1.0))
@@ -839,26 +753,3 @@ class CampaignRunner:
                 except (ProcessLookupError, PermissionError, TypeError):
                     pass
             terminator.join(timeout=max(grace, 1.0))
-        if event_queue is not None:
-            event_queue.close()
-            if drained:
-                event_queue.join_thread()
-            else:  # pragma: no cover - only on drain timeout
-                event_queue.cancel_join_thread()
-
-
-def _drain_events(event_queue, progress: ProgressHook) -> None:
-    """Parent-side drain loop: forward worker events to the reporter."""
-    while True:
-        try:
-            event = event_queue.get()
-        except (EOFError, OSError):  # pragma: no cover - queue torn down
-            return
-        except Exception:  # noqa: BLE001 - a dying worker can tear an event
-            continue
-        if event is None:
-            return
-        try:
-            progress(event)
-        except Exception:  # noqa: BLE001 - progress must never break a campaign
-            pass

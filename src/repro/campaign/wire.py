@@ -124,8 +124,8 @@ def ensure_specs(
     """Decode a descriptor; pass plain spec sequences through untouched.
 
     This is the single entry point the worker task functions call, so
-    they accept either form — the in-process backends hand them real
-    specs, the pool path ships descriptors.
+    they accept either form — inline execution hands them real specs,
+    the pool path ships descriptors.
     """
     if isinstance(specs, WireChunk):
         return decode_chunk(specs)

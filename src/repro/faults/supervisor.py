@@ -20,10 +20,16 @@ matter how many times its task crashes, hangs, raises or is re-queued:
 * failures are retried under the :class:`~repro.faults.plan.RetryPolicy`
   with exponential backoff; a task that exhausts its attempts is
   **bisected**, and a single spec that still fails is **quarantined**
-  into an ``"error"`` outcome (plus a synthetic progress event so the
+  into an ``"error"`` outcome (plus a parent-side progress event so the
   journal ledger stays exact) instead of aborting the campaign;
 * if the pool itself breaks (``apply_async`` starts raising), the
   supervisor degrades to in-process execution and finishes the campaign.
+
+A task's result is its only channel back: ``(outcomes, timings)`` or
+``(outcomes, timings, events)``.  Each fresh slot's
+:class:`~repro.campaign.runner.ScenarioEvent` goes to ``progress`` when
+the slot settles, in the calling thread, so the settled-slot set that
+makes outcomes exactly-once does the same for progress events.
 
 The module deliberately imports nothing from :mod:`repro.campaign` at
 the top level — the campaign runner imports *it* — so the campaign
@@ -33,7 +39,6 @@ functions that build them.
 
 from __future__ import annotations
 
-import os
 import pickle
 import queue as queue_module
 import time
@@ -58,8 +63,8 @@ class DispatchStats:
 
     Orchestration accounting, not a result property — attached to
     :class:`~repro.campaign.runner.CampaignResult` with ``compare=False``
-    exactly like :class:`~repro.faults.plan.FaultStats`.  The in-process
-    backends ship nothing, so their stats stay zero.
+    exactly like :class:`~repro.faults.plan.FaultStats`.  Inline
+    campaigns ship nothing, so their stats stay zero.
 
     ``queue_seconds`` is the summed per-task dispatch latency: time from
     submission to result callback minus the in-worker scenario seconds —
@@ -131,7 +136,11 @@ class Supervisor:
     One instance supervises one campaign run: it accumulates the
     :class:`~repro.faults.plan.FaultStats` for the run and remembers
     which slots already settled (so retries, zombies and the in-process
-    fallback can never double-deliver an outcome).
+    fallback can never double-deliver an outcome or its event).
+
+    Every task is called as ``fn(specs, events_wanted, telemetry,
+    attempt=..., faults=...)``, inline and on the pool alike;
+    ``events_wanted`` is ``True`` when a ``progress`` hook listens.
     """
 
     def __init__(
@@ -173,46 +182,35 @@ class Supervisor:
         return SupervisedTask(self._next_id, fn, specs, indices, attempt)
 
     def _settle(self, indices: Sequence[int], outcomes: Sequence,
-                timings: Sequence[float]) -> None:
-        """Record outcomes for slots not yet settled (first result wins)."""
+                timings: Sequence[float], events: Sequence = ()) -> None:
+        """Record outcomes for slots not yet settled (first result wins).
+
+        ``events`` (empty, or one per slot) go to ``progress`` for the
+        fresh slots only, just before ``record``: a retried or late task
+        re-delivers neither its outcomes nor its events.
+        """
         fresh = [
-            (index, outcome, seconds)
-            for index, outcome, seconds in zip(indices, outcomes, timings)
+            (index, outcome, seconds, event)
+            for index, outcome, seconds, event in zip(
+                indices, outcomes, timings, events or [None] * len(indices))
             if index not in self._settled
         ]
         if not fresh:
             return
-        self._settled.update(index for index, _, _ in fresh)
+        self._settled.update(index for index, _, _, _ in fresh)
+        if self._progress is not None:
+            for _, _, _, event in fresh:
+                if event is None:
+                    continue
+                try:
+                    self._progress(event)
+                except Exception:  # noqa: BLE001 - progress must never break a campaign
+                    pass
         self._record(
-            [index for index, _, _ in fresh],
-            [outcome for _, outcome, _ in fresh],
-            [seconds for _, _, seconds in fresh],
+            [index for index, _, _, _ in fresh],
+            [outcome for _, outcome, _, _ in fresh],
+            [seconds for _, _, seconds, _ in fresh],
         )
-
-    def _emit_synthetic(self, spec, outcome) -> None:
-        """Ship a parent-side event for a scenario no worker reported.
-
-        Quarantined specs never reach a worker's event emitter (the
-        injected fault fires first), but the journal ledger still needs
-        exactly one scenario record for them.
-        """
-        if self._progress is None:
-            return
-        from repro.campaign.runner import ScenarioEvent
-        from repro.provenance.usage import ResourceUsage
-        from repro.store.fingerprint import fingerprint_spec
-
-        try:
-            self._progress(ScenarioEvent(
-                label=spec.label(),
-                verdict=outcome.verdict,
-                seconds=0.0,
-                worker_pid=os.getpid(),
-                fingerprint=fingerprint_spec(spec),
-                usage=ResourceUsage.of_outcome(outcome, seconds=0.0),
-            ))
-        except Exception:  # noqa: BLE001 - progress must never break a campaign
-            pass
 
     def _quarantine(self, task: SupervisedTask, exc: BaseException) -> None:
         from repro.campaign.spec import ScenarioOutcome
@@ -226,8 +224,13 @@ class Supervisor:
             f"quarantined after {task.attempt} attempt(s); "
             f"last failure: {type(exc).__name__}: {exc}"
         ))
-        self._settle(task.indices, [outcome], [0.0])
-        self._emit_synthetic(spec, outcome)
+        # No worker reported this spec (the fault fired first), but the
+        # journal ledger still needs exactly one record for it.
+        events = ()
+        if self._progress is not None:
+            from repro.campaign.runner import _event
+            events = (_event(spec, outcome, 0.0),)
+        self._settle(task.indices, [outcome], [0.0], events)
 
     def _after_failure(self, task: SupervisedTask,
                        exc: BaseException) -> List[SupervisedTask]:
@@ -256,6 +259,10 @@ class Supervisor:
         self._quarantine(task, exc)
         return []
 
+    def _context(self) -> Tuple[bool, Any]:
+        """The positional task arguments after ``specs``."""
+        return self._progress is not None, self._telemetry
+
     # -- in-process execution ----------------------------------------------
 
     def run_inline(self, tasks: Iterable[TaskSpec]) -> None:
@@ -276,15 +283,15 @@ class Supervisor:
         while stack:
             current = stack.pop(0)
             try:
-                outcomes, timings = current.fn(
-                    current.specs, self._progress, self._telemetry,
+                result = current.fn(
+                    current.specs, *self._context(),
                     attempt=current.attempt, faults=self.faults)
             except Exception as exc:  # noqa: BLE001 - that's the job
                 # No backoff sleeps inline: injected faults are
                 # deterministic per attempt, waiting buys nothing.
                 stack[:0] = self._after_failure(current, exc)
             else:
-                self._settle(current.indices, list(outcomes), list(timings))
+                self._settle(current.indices, *result)
 
     # -- pool execution ----------------------------------------------------
 
@@ -322,7 +329,8 @@ class Supervisor:
                 self.dispatch.encode_seconds += time.perf_counter() - encode_started
             try:
                 pool.apply_async(
-                    task.fn, (payload,), {"attempt": task.attempt},
+                    task.fn, (payload, *self._context()),
+                    {"attempt": task.attempt, "faults": self.faults},
                     callback=lambda result, t=task_id: done.put((t, result, None)),
                     error_callback=lambda exc, t=task_id: done.put((t, None, exc)),
                 )
@@ -386,11 +394,10 @@ class Supervisor:
                 task = inflight.pop(task_id, None)
                 if task is not None:
                     if exc is None:
-                        outcomes, timings = result
                         self.dispatch.queue_seconds += max(
                             0.0,
-                            last_callback - task.submitted_at - sum(timings))
-                        self._settle(task.indices, list(outcomes), list(timings))
+                            last_callback - task.submitted_at - sum(result[1]))
+                        self._settle(task.indices, *result)
                     else:
                         waiting.extend(self._after_failure(task, exc))
                     continue
@@ -398,8 +405,7 @@ class Supervisor:
                 if zombie_indices is not None and exc is None:
                     # A presumed-lost task completed after all: accept
                     # the late result; already-settled slots are no-ops.
-                    outcomes, timings = result
-                    self._settle(zombie_indices, list(outcomes), list(timings))
+                    self._settle(zombie_indices, *result)
                 # A zombie *failure* needs nothing: its replacement was
                 # queued when the deadline expired.
         except _PoolBroken:

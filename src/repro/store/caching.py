@@ -24,10 +24,10 @@ An optional campaign **journal**
 opened at) receives the full provenance record: campaign start/finish,
 one per-scenario ``ran``/``cached``/``skipped`` decision with its
 :class:`~repro.provenance.usage.ResourceUsage`, and the early-stop
-triggers.  Journal records for executed scenarios are appended from the
-same delivery path that persists outcomes — under the process backend
-that includes the parent's event-drain thread, which is exactly why the
-SQLite store is thread-safe.
+triggers.  Journal records for executed scenarios are appended in the
+calling thread as each task settles, just before its outcomes are
+persisted: the supervisor delivers every scenario's event exactly once,
+retries and late results included, so the ledger needs no filtering.
 """
 
 from __future__ import annotations
@@ -185,25 +185,9 @@ class CachingRunner:
             # which is what makes traces joinable against the ledger.
             self.telemetry.begin(campaign, len(specs))
 
-        ran_fps: set = set()
-
         def emit(event: ScenarioEvent) -> None:
             # Journal first (provenance is the record), then telemetry
-            # (metrics + span collection), reporter last.  Under the
-            # process backend this runs on the parent's drain thread for
-            # executed scenarios.
-            if not event.cached and event.fingerprint:
-                # A supervised retry re-runs scenarios whose first
-                # attempt already reported (the worker died mid-chunk
-                # after emitting some events, or a timed-out chunk
-                # completed late).  The journal ledger demands exactly
-                # one record per position, so replayed "ran" events are
-                # dropped; legitimate duplicate input positions are
-                # always reported as ``cached`` replays, never as a
-                # second non-cached event.
-                if event.fingerprint in ran_fps:
-                    return
-                ran_fps.add(event.fingerprint)
+            # (metrics + span collection), reporter last.
             if self.journal is not None:
                 self.journal.scenario_event(campaign, event)
             if self.telemetry is not None:
@@ -252,7 +236,6 @@ class CachingRunner:
             pending.append(spec)
 
         executed_fps: set = set()
-        executed_seconds: Dict[object, float] = {}
         store_write_failures = 0
 
         def persist(outcome: ScenarioOutcome, seconds: float) -> None:
@@ -260,7 +243,6 @@ class CachingRunner:
             fingerprint = fp_by_spec.get(outcome.spec)
             if fingerprint is None:  # pragma: no cover - defensive only
                 fingerprint = fingerprint_spec(outcome.spec)
-            executed_seconds[fingerprint] = seconds
             quarantined = (
                 outcome.verdict == "error"
                 and (outcome.error or "").startswith("QuarantineError")
@@ -308,24 +290,6 @@ class CachingRunner:
         self.store.flush()
 
         if inner_progress is not None:
-            # A worker SIGKILLed while holding the event queue's write
-            # lock (or mid-write) silences the queue for good: the drain
-            # sees nothing further, and every later worker event is lost.
-            # The parent still received every outcome through the result
-            # channel, so reconcile — each executed scenario whose "ran"
-            # event never arrived gets a synthetic one, keeping the
-            # journal ledger and telemetry exact under external kills.
-            for spec, fingerprint in zip(specs, fingerprints):
-                if fingerprint not in executed_fps or fingerprint in ran_fps:
-                    continue
-                outcome = outcomes_by_fp[fingerprint]
-                emit(ScenarioEvent(
-                    label=spec.label(), verdict=outcome.verdict,
-                    seconds=executed_seconds.get(fingerprint, 0.0),
-                    worker_pid=os.getpid(), cached=False,
-                    fingerprint=fingerprint,
-                    usage=ResourceUsage.of_outcome(outcome),
-                ))
             # Deduplicated duplicate positions completed with their first
             # occurrence; report them so totals add up to the campaign size.
             for spec, fingerprint in duplicates:

@@ -73,7 +73,7 @@ def fingerprint_spec(spec: ScenarioSpec) -> str:
     The sha256 is computed **once per spec instance** and memoised on
     the spec (a non-field attribute, excluded from pickling by
     ``ScenarioSpec.__getstate__``): the caching runner's skip pass, the
-    store puts, the journal records and the worker-side event emitter
+    store puts, the journal records and the per-scenario event builder
     all ask for the same digest, and hashing the canonical ``repr`` is
     the single most repeated piece of work in a warm campaign.  The
     memo key is the instance, not the identity — equal specs decoded in

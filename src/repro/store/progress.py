@@ -1,13 +1,15 @@
-"""Pool-wide campaign progress.
+"""Campaign progress, across every worker of a pool.
 
 A :class:`ProgressReporter` is a callable that consumes the
 :class:`~repro.campaign.runner.ScenarioEvent` stream a campaign emits —
-one event per finished scenario, produced *where the scenario ran*.
-Under the process backend the events cross the process boundary on a
-queue and are delivered from a drain thread, so the reporter keeps its
-counters under a lock and a long multiprocess campaign can be watched
-live: scenarios completed out of how many, verdict counts, which worker
-pids are alive, throughput.
+one event per scenario, produced *where the scenario ran* and delivered
+exactly once in the calling thread.  Under the process backend the
+events ride back on their task's result and arrive as each task settles
+(a task is about ``total ÷ (4 × workers)`` scenarios by default), so a
+long multiprocess campaign can be watched task by task: scenarios
+completed out of how many, verdict counts, which worker pids ran them,
+throughput.  The counters stay under a lock so a reporter can be shared
+with, and snapshotted from, other threads.
 
 :class:`~repro.store.caching.CachingRunner` additionally brackets the
 stream with :meth:`campaign_started` / :meth:`campaign_finished` and

@@ -2,10 +2,9 @@
 
 One :class:`MetricsRegistry` per telemetry session; metrics are created
 on first use (``registry.counter("scenarios_completed")``) and updated
-under one registry-wide lock — updates arrive from the process
-backend's event-drain thread and the caller's thread concurrently, and
-campaign-scale update rates (one batch of updates per *scenario*, not
-per step) make lock granularity irrelevant.
+under one registry-wide lock — a registry may be shared by campaigns on
+several threads, and campaign-scale update rates (one batch of updates
+per *scenario*, not per step) make lock granularity irrelevant.
 
 Determinism is the design constraint, mirroring
 :class:`~repro.provenance.usage.ResourceUsage`: metrics fed from the

@@ -75,8 +75,8 @@ class WorkerTelemetry:
 
     ``samples(spec)`` is the *only* sampling decision in the system —
     evaluated where the scenario runs, deterministic in the scenario's
-    identity, so serial, chunked and process backends trace the same
-    scenarios.
+    identity, so every backend, worker count and chunking traces the
+    same scenarios.
 
     The stride filter keeps a scenario iff its derived seed is divisible
     by the stride — nothing guarantees any seed of a *small* campaign
@@ -114,8 +114,8 @@ class TelemetrySession:
     Wire it into a :class:`~repro.store.caching.CachingRunner` via its
     ``telemetry=`` parameter; standalone use follows the same protocol:
     ``begin(campaign_id, total)`` → feed events to :meth:`on_event` →
-    ``finish()``.  Events arrive concurrently (the process backend's
-    drain thread plus the caller's thread); all mutation is locked.
+    ``finish()``.  A campaign feeds events from its calling thread;
+    all mutation is locked so a session can be shared across threads.
     """
 
     def __init__(self, config: Optional[TelemetryConfig] = None):

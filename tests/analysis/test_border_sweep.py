@@ -245,7 +245,7 @@ class TestCampaignRegression:
         )
         chunked = sweep_theorem8(
             PINNED_GRID,
-            runner=CampaignRunner(backend="chunked", chunk_size=7),
+            runner=CampaignRunner(backend="process", workers=1, chunk_size=7),
             **PINNED_KWARGS,
         )
         assert parallel == serial

@@ -136,7 +136,7 @@ class TestBatchedCampaign:
         return CampaignRunner().run(pinned_specs())
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", None), ("chunked", None), ("process", 2),
+        ("serial", None), ("process", 1), ("process", 2),
     ])
     def test_batched_campaign_identical_across_backends(
         self, reference, backend, workers

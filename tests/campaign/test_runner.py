@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import threading
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.campaign import (
     theorem8_specs,
 )
 from repro.exceptions import ConfigurationError
+from repro.faults import FaultPlan
 
 SPECS = theorem8_specs([4], seeds=(1,), max_steps=4_000)
 
@@ -27,7 +29,8 @@ class TestBackendEquivalence:
 
     def test_chunked_equals_serial(self, serial_result):
         for chunk_size in (1, 3, 1000):
-            chunked = CampaignRunner(backend="chunked", chunk_size=chunk_size).run(SPECS)
+            chunked = CampaignRunner(
+                backend="process", workers=1, chunk_size=chunk_size).run(SPECS)
             assert chunked == serial_result
 
     def test_process_equals_serial(self, serial_result):
@@ -39,7 +42,7 @@ class TestBackendEquivalence:
         assert CampaignRunner(backend="serial").run(SPECS) == serial_result
 
     def test_equality_ignores_timing_metadata(self, serial_result):
-        rerun = CampaignRunner(backend="chunked", chunk_size=2).run(SPECS)
+        rerun = CampaignRunner(backend="process", workers=1, chunk_size=2).run(SPECS)
         assert rerun == serial_result
         assert rerun.backend != serial_result.backend  # metadata still differs
 
@@ -120,7 +123,7 @@ class TestAggregation:
 class TestResultJsonRoundTrip:
     @pytest.fixture(scope="class")
     def result(self):
-        return CampaignRunner(backend="chunked", chunk_size=7).run(SPECS)
+        return CampaignRunner(backend="process", workers=1, chunk_size=7).run(SPECS)
 
     def test_round_trip_compares_equal(self, result):
         restored = CampaignResult.from_json(result.to_json())
@@ -198,7 +201,7 @@ class TestRunnerHooks:
         kept = [s for s in SPECS if s.scheduler != "random"]
         for runner in (
             CampaignRunner(),
-            CampaignRunner(backend="chunked", chunk_size=3),
+            CampaignRunner(backend="process", workers=1, chunk_size=3),
             CampaignRunner(backend="process", workers=2, chunk_size=3),
         ):
             result = runner.run(SPECS, should_skip=drop)
@@ -206,12 +209,30 @@ class TestRunnerHooks:
 
     def test_progress_events_cover_the_campaign(self):
         events = []
-        result = CampaignRunner(backend="chunked", chunk_size=4).run(
+        result = CampaignRunner(backend="process", workers=1, chunk_size=4).run(
             SPECS, progress=events.append
         )
         assert len(events) == len(result.outcomes)
         assert {e.verdict for e in events} == {o.verdict for o in result.outcomes}
         assert all(e.seconds >= 0 and not e.cached for e in events)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pool"])
+    def test_retried_task_reports_each_scenario_once(self, workers):
+        # The injected raise fails the first attempt of the task holding
+        # specs[2] after specs[0..1] already ran; the retry re-runs them.
+        # Only the settled result's events reach progress, so each label
+        # arrives exactly once, and always on the calling thread.
+        specs = SPECS[:8]
+        plan = FaultPlan(raise_labels=(specs[2].label(),))
+        calls = []
+        result = CampaignRunner(
+            backend="process", workers=workers, chunk_size=4, faults=plan,
+        ).run(specs, progress=lambda event: calls.append(
+            (event.label, threading.get_ident())))
+        assert result.fault_stats.task_retries == 1
+        assert sorted(label for label, _ in calls) == sorted(
+            spec.label() for spec in specs)
+        assert {thread for _, thread in calls} == {threading.get_ident()}
 
 
 class TestRobustness:

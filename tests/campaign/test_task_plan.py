@@ -27,18 +27,19 @@ SPECS = tuple(
     )
     for spec in pair
 )
-BACKENDS = ("serial", "chunked", "process")
 CHUNK = 5
 WORKERS = 2
+#: ``(backend, workers)``: serial, inline process (one worker) and pool.
+BACKENDS = (("serial", WORKERS), ("process", 1), ("process", WORKERS))
 
 
 def drop_every_third(spec):
     return SPECS.index(spec) % 3 == 0
 
 
-def build(backend, batch, should_skip, chunk_size=CHUNK):
+def build(backend, batch, should_skip, chunk_size=CHUNK, workers=WORKERS):
     runner = CampaignRunner(
-        backend=backend, workers=WORKERS, chunk_size=chunk_size, batch=batch)
+        backend=backend, workers=workers, chunk_size=chunk_size, batch=batch)
     tasks, count = runner.plan(SPECS, should_skip)
     return list(tasks), count
 
@@ -48,29 +49,30 @@ def live_positions(should_skip):
             if should_skip is None or not should_skip(spec)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend,workers", BACKENDS,
+                         ids=["serial", "inline", "process"])
 @pytest.mark.parametrize("batch", [False, True])
 @pytest.mark.parametrize("should_skip", [None, drop_every_third])
 class TestEveryConfiguration:
     def test_positions_partition_the_live_specs_exactly_once(
-            self, backend, batch, should_skip):
-        tasks, count = build(backend, batch, should_skip)
+            self, backend, workers, batch, should_skip):
+        tasks, count = build(backend, batch, should_skip, workers=workers)
         positions = [p for _, _, task_positions in tasks for p in task_positions]
         assert sorted(positions) == live_positions(should_skip)
         assert len(set(positions)) == len(positions)
         assert len(tasks) <= count
 
     def test_task_specs_match_their_positions(
-            self, backend, batch, should_skip):
-        tasks, _ = build(backend, batch, should_skip)
+            self, backend, workers, batch, should_skip):
+        tasks, _ = build(backend, batch, should_skip, workers=workers)
         for _, specs, positions in tasks:
             assert specs
             assert specs == tuple(SPECS[p] for p in positions)
             assert list(positions) == sorted(positions)
 
     def test_waves_are_batchable_and_homogeneous(
-            self, backend, batch, should_skip):
-        tasks, _ = build(backend, batch, should_skip)
+            self, backend, workers, batch, should_skip):
+        tasks, _ = build(backend, batch, should_skip, workers=workers)
         waves = [specs for fn, specs, _ in tasks if fn is _run_wave]
         if not batch:
             assert not waves
@@ -84,10 +86,10 @@ class TestEveryConfiguration:
         assert scalar and not any(is_batchable(spec) for spec in scalar)
 
 
-@pytest.mark.parametrize("backend", ("chunked", "process"))
+@pytest.mark.parametrize("workers", (1, WORKERS), ids=["inline", "process"])
 @pytest.mark.parametrize("should_skip", [None, drop_every_third])
-def test_unbatched_chunk_boundaries_fall_at_chunk_size(backend, should_skip):
-    tasks, count = build(backend, False, should_skip)
+def test_unbatched_chunk_boundaries_fall_at_chunk_size(workers, should_skip):
+    tasks, count = build("process", False, should_skip, workers=workers)
     assert count == -(-len(SPECS) // CHUNK)
     for _, _, positions in tasks:
         # Each task draws from one aligned chunk; skips only shrink it.
@@ -123,7 +125,7 @@ def test_unbatched_skips_are_consulted_as_tasks_are_drawn():
         consulted.append(spec)
         return False
 
-    runner = CampaignRunner(backend="chunked", chunk_size=CHUNK)
+    runner = CampaignRunner(backend="process", workers=1, chunk_size=CHUNK)
     tasks, _ = runner.plan(SPECS, skip)
     assert consulted == []  # lazy: nothing asked before the first draw
     next(iter(tasks))
@@ -134,6 +136,6 @@ def test_default_chunk_size_splits_into_four_tasks_per_worker():
     runner = CampaignRunner(backend="process", workers=WORKERS)
     tasks, count = runner.plan(SPECS)
     assert count == len(list(tasks)) == 4 * WORKERS
-    # The in-process backends split for one worker, whatever ``workers``.
-    tasks, count = CampaignRunner(backend="chunked", workers=WORKERS).plan(SPECS)
+    # A one-worker process backend splits for its one worker.
+    tasks, count = CampaignRunner(backend="process", workers=1).plan(SPECS)
     assert count == len(list(tasks)) == 4

@@ -13,7 +13,7 @@ COLD = CampaignRunner().run(SPECS)
 
 RUNNERS = {
     "serial": CampaignRunner(),
-    "chunked": CampaignRunner(backend="chunked", chunk_size=3),
+    "inline": CampaignRunner(backend="process", workers=1, chunk_size=3),
     "process": CampaignRunner(backend="process", workers=2, chunk_size=3),
 }
 

@@ -38,14 +38,20 @@ from repro.telemetry.report import main as report_main
 
 PINNED_GRID = [4]
 PINNED_KWARGS = {"seeds": (1,), "max_steps": 4_000}
-BACKENDS = ("serial", "chunked", "process")
+#: Campaign runner settings by name: serial, one-worker process (tasks
+#: run inline) and a two-worker pool.
+BACKENDS = {
+    "serial": {"backend": "serial"},
+    "inline": {"backend": "process", "workers": 1},
+    "process": {"backend": "process", "workers": 2},
+}
 
 
 def _run_with_telemetry(recording: str, backend: str, **config):
     session = TelemetrySession(TelemetryConfig(**config))
     runner = CachingRunner(
         MemoryResultStore(),
-        CampaignRunner(backend=backend, workers=2, chunk_size=5),
+        CampaignRunner(chunk_size=5, **BACKENDS[backend]),
         telemetry=session,
     )
     specs = theorem8_specs(PINNED_GRID, recording=recording, **PINNED_KWARGS)
@@ -137,7 +143,7 @@ class TestSampling:
                 s.attrs["label"] for s in session.spans()
                 if s.name == "scenario"
             )
-        assert labels["serial"] == labels["chunked"] == labels["process"]
+        assert labels["serial"] == labels["inline"] == labels["process"]
         total = len(theorem8_specs(PINNED_GRID, **PINNED_KWARGS))
         assert 0 < len(labels["serial"]) < total
 
