@@ -7,7 +7,9 @@ deterministically per fingerprint digest, and *transiently*: the store
 counts attempts per digest, so a retried write (same campaign or a
 resume) goes through.  Reads are never perturbed; a store that lies on
 reads would break the caching contract rather than test resilience to
-flaky persistence.
+flaky persistence.  Bulk reads, ``flush`` and ``io_stats`` go straight
+to the inner store, so its commit batching and I/O counters work under
+chaos as without it.
 
 Used by the chaos tests to pin down that
 :class:`~repro.store.CachingRunner` treats the store as a cache, not a
@@ -17,7 +19,7 @@ outcome.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Iterable
 
 from repro.faults.plan import FaultPlan, InjectedFaultError
 from repro.store.base import Fingerprintish, ResultStore, _digest
@@ -38,6 +40,9 @@ class FaultyStore(ResultStore):
     def get(self, fingerprint: Fingerprintish):
         return self._inner.get(fingerprint)
 
+    def get_many(self, fingerprints: Iterable[Fingerprintish]):
+        return self._inner.get_many(fingerprints)
+
     def put(self, fingerprint: Fingerprintish, outcome) -> None:
         digest = _digest(fingerprint)
         attempt = self._write_attempts.get(digest, 0) + 1
@@ -52,6 +57,12 @@ class FaultyStore(ResultStore):
 
     def fingerprints(self) -> FrozenSet[str]:
         return self._inner.fingerprints()
+
+    def flush(self) -> None:
+        self._inner.flush()
+
+    def io_stats(self) -> Dict[str, int]:
+        return self._inner.io_stats()
 
     def close(self) -> None:
         self._inner.close()

@@ -10,15 +10,14 @@ making a sweep auditable after the fact: exactly what executed, what was
 served from cache, what an adaptive budget dropped, and what it all
 cost.
 
-The format mirrors the JSONL result store on purpose: one
-schema-versioned JSON object per line, appended with a ``write + flush``
-so a SIGKILL loses at most the line being written.  Reading is
-torn-tail-safe (:func:`read_journal` drops a torn final line, reports
-mid-file corruption loudly, skips rows of other journal versions) and
-the writer is **thread-safe**, so one journal can be shared by
-campaigns running on several threads of a process.  A campaign itself
-appends every record — ``ran`` records included, as each task settles —
-from its calling thread.
+One schema-versioned JSON object per line, written and read through
+:mod:`repro.appendlog`: each record is one kill-safe append, so a
+SIGKILL loses at most the line being written; :func:`read_journal` drops
+a torn final line, reports mid-file corruption loudly and skips rows of
+other journal versions.  The writer is **thread-safe**, so one journal
+can be shared by campaigns running on several threads of a process.  A
+campaign itself appends every record — ``ran`` records included, as
+each task settles — from its calling thread.
 
 :func:`replay_ledger` folds a journal (possibly spanning several
 campaigns, including killed ones) back into a :class:`JournalReplay`:
@@ -32,12 +31,12 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.appendlog import AppendLog, scan
 from repro.exceptions import ConfigurationError
 from repro.provenance.usage import ResourceUsage
 
@@ -77,19 +76,16 @@ def _jsonable(value: Any) -> Any:
 class CampaignJournal:
     """Thread-safe append-only writer for one journal file.
 
-    Opening the journal validates (and heals, exactly like the JSONL
-    result store) the existing file, so appends always start on a clean
-    line; the file then only ever grows.  ``close()`` is idempotent and
-    the journal is a context manager.
+    Opening the journal validates and heals the existing file
+    (:meth:`repro.appendlog.AppendLog.open`), so appends always start on
+    a clean line; the file then only ever grows.  ``close()`` is
+    idempotent and the journal is a context manager.
     """
 
     def __init__(self, path: Union[str, Path]):
         self._path = Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        if self._path.exists():
-            _scan(self._path.read_bytes(), self._path, heal=True)
-        self._lock = threading.Lock()
-        self._file = self._path.open("a", encoding="utf-8")
+        self._log, _ = AppendLog.open(
+            self._path, _journal_record, f"campaign journal {self._path}")
         # Monotonic origin for per-record ``elapsed`` stamps.  ``ts`` is
         # wall-clock (time.time) — human-readable, joinable across hosts,
         # but steppable by NTP; ``elapsed`` (perf_counter seconds since
@@ -186,19 +182,10 @@ class CampaignJournal:
             "elapsed": round(time.perf_counter() - self._opened_perf, 6),
             **record,
         }
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with self._lock:
-            # One write + flush per record, under the lock: lines never
-            # interleave even when several threads journal concurrently,
-            # and a kill tears at most the final line (which
-            # read_journal drops).
-            self._file.write(line)
-            self._file.flush()
+        self._log.append(json.dumps(record, sort_keys=True) + "\n")
 
     def close(self) -> None:
-        with self._lock:
-            if not self._file.closed:
-                self._file.close()
+        self._log.close()
 
     def __enter__(self) -> "CampaignJournal":
         return self
@@ -210,40 +197,12 @@ class CampaignJournal:
 # -- reading -----------------------------------------------------------------
 
 
-def _scan(data: bytes, path: Path, *, heal: bool) -> List[Dict[str, Any]]:
-    """Parse journal bytes: tolerate a torn tail, report real damage.
-
-    Classification matches the JSONL result store: an unreadable *final*
-    line without further data behind it is a kill artefact and is
-    dropped (and truncated away when ``heal`` is set); an unreadable
-    line *followed by more data* is genuine corruption and raises.
-    """
-    records: List[Dict[str, Any]] = []
-    good_until = 0
-    for line_number, raw_line in enumerate(data.split(b"\n"), start=1):
-        stripped = raw_line.strip()
-        if stripped:
-            try:
-                record = json.loads(stripped.decode("utf-8"))
-                if not isinstance(record, dict) or "type" not in record:
-                    raise ConfigurationError(f"not a journal record: {record!r}")
-                if record.get("v") == JOURNAL_SCHEMA_VERSION:
-                    records.append(record)
-            except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
-                if good_until + len(raw_line) + 1 <= len(data):
-                    raise ConfigurationError(
-                        f"corrupt campaign journal {path}: unreadable record "
-                        f"on line {line_number} ({exc})"
-                    ) from exc
-                break  # torn final line: a kill artefact, drop it
-        good_until += len(raw_line) + 1
-    good_until = min(good_until, len(data))
-    if heal and (good_until < len(data) or (data and not data.endswith(b"\n"))):
-        clean = data[:good_until]
-        if clean and not clean.endswith(b"\n"):
-            clean += b"\n"
-        path.write_bytes(clean)
-    return records
+def _journal_record(text: str) -> Optional[Dict[str, Any]]:
+    """One journal line; ``None`` for rows of other journal versions."""
+    record = json.loads(text)
+    if not isinstance(record, dict) or "type" not in record:
+        raise ConfigurationError(f"not a journal record: {record!r}")
+    return record if record.get("v") == JOURNAL_SCHEMA_VERSION else None
 
 
 def read_journal(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
@@ -251,7 +210,7 @@ def read_journal(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no campaign journal at {path}")
-    return tuple(_scan(path.read_bytes(), path, heal=False))
+    return tuple(scan(path.read_bytes(), _journal_record, f"campaign journal {path}")[0])
 
 
 def record_elapsed(record: Dict[str, Any]) -> Optional[float]:

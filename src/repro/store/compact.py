@@ -11,35 +11,37 @@ Result stores accumulate weight that reads can never see again:
 * a torn final line left by a campaign killed mid-append (the store
   heals this lazily on the next open; compaction heals it eagerly).
 
-Compaction applies the *same* classification the readers use — it keeps
-exactly the rows a fresh :class:`~repro.store.jsonl.JsonlResultStore` /
-:class:`~repro.store.sqlite.SqliteResultStore` would index, byte-for-byte
-for JSONL (kept lines are copied, never re-encoded), and raises the same
+Compaction reads JSONL through the store's own reader — the
+:mod:`repro.appendlog` scan with :func:`~repro.store.jsonl.parse_record`
+— so it keeps exactly the rows a fresh
+:class:`~repro.store.jsonl.JsonlResultStore` would index, byte-for-byte
+(kept lines are copied, never re-encoded), and raises the same
 :class:`~repro.exceptions.ConfigurationError` on mid-file corruption
 instead of silently discarding stored evidence.  The JSONL rewrite is
 atomic (temp file + ``os.replace``), so a kill mid-compaction leaves
 either the old file or the new one, never a mix.
 
 ``--dry-run`` reports what *would* happen without touching the file;
-backends are picked from the path suffix exactly as
-:func:`repro.store.base.open_store` does.
+backends are picked by :func:`repro.store.base.backend_of`, as
+:func:`~repro.store.base.open_store` picks them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sqlite3
 import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
-from repro.campaign.codec import outcome_from_dict
+from repro.appendlog import scan
 from repro.exceptions import ConfigurationError
+from repro.store.base import backend_of
 from repro.store.fingerprint import SCHEMA_VERSION
+from repro.store.jsonl import parse_record
 
 __all__ = ["CompactReport", "compact_jsonl", "compact_sqlite", "compact_store", "main"]
 
@@ -97,52 +99,23 @@ class CompactReport:
 def compact_jsonl(path: Union[str, Path], *, dry_run: bool = False) -> CompactReport:
     """Compact one JSONL store file.
 
-    Classification mirrors ``JsonlResultStore._load`` exactly: a torn
-    final line (no data after it) is healed away, any other unreadable
-    line raises, other-schema rows are dropped, and of duplicate
-    current-schema rows the *last* wins (the semantics appends already
-    have through the in-memory index).  Kept lines are preserved
-    byte-for-byte, in their original relative order.
+    A torn final line is healed away, any other unreadable line raises,
+    other-schema rows are dropped, and of duplicate current-schema rows
+    the *last* wins (the semantics appends already have through the
+    in-memory index).  Kept lines are preserved byte-for-byte, in their
+    original relative order.
     """
     path = Path(path)
     data = path.read_bytes() if path.exists() else b""
-    lines = data.split(b"\n")
-
-    kept: List[bytes] = []  # raw current-schema lines, file order
-    last_for_fp: Dict[str, int] = {}  # fp -> index into kept (last wins)
-    dropped_schema = 0
-    good_until = 0
-    for line_number, raw_line in enumerate(lines, start=1):
-        stripped = raw_line.strip()
-        if stripped:
-            try:
-                record = json.loads(stripped.decode("utf-8"))
-                if not isinstance(record, dict):
-                    raise ConfigurationError(f"record is not an object: {record!r}")
-                if record.get("v") == SCHEMA_VERSION:
-                    digest = record["fp"]
-                    if not isinstance(digest, str) or not digest:
-                        raise ConfigurationError(
-                            f"record has a non-string fingerprint: {digest!r}"
-                        )
-                    outcome_from_dict(record["outcome"])  # corruption check only
-                    kept.append(stripped)
-                    last_for_fp[digest] = len(kept) - 1
-                else:
-                    dropped_schema += 1
-            except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
-                if good_until + len(raw_line) + 1 <= len(data):
-                    raise ConfigurationError(
-                        f"corrupt result store {path}: unreadable record "
-                        f"on line {line_number} ({exc})"
-                    ) from exc
-                break  # torn final line: healed away below
-        good_until += len(raw_line) + 1
-    good_until = min(good_until, len(data))
+    rows, good_until = scan(
+        data, lambda text: (text, parse_record(text)), f"result store {path}")
     tail_healed = len(data) - good_until
 
-    live = set(last_for_fp.values())
-    compacted = [line for index, line in enumerate(kept) if index in live]
+    kept = [(text, parsed[0]) for text, parsed in rows if parsed is not None]
+    dropped_schema = len(rows) - len(kept)
+    last = {digest: index for index, (_, digest) in enumerate(kept)}  # last wins
+    compacted = [text.encode("utf-8") for index, (text, digest) in enumerate(kept)
+                 if last[digest] == index]
     deduped = len(kept) - len(compacted)
 
     new_data = b"".join(line + b"\n" for line in compacted)
@@ -227,16 +200,17 @@ def compact_sqlite(path: Union[str, Path], *, dry_run: bool = False) -> CompactR
 def compact_store(path: Union[str, Path], *, dry_run: bool = False) -> CompactReport:
     """Compact one store, picking the backend from the path suffix.
 
-    The dispatch matches :func:`repro.store.base.open_store`:
-    ``.sqlite`` / ``.sqlite3`` / ``.db`` is SQLite, anything else JSONL
-    (``:memory:`` has nothing on disk to compact and is rejected).
+    The dispatch is :func:`repro.store.base.backend_of`, as for
+    :func:`~repro.store.base.open_store` (``:memory:`` has nothing on
+    disk to compact and is rejected).
     """
-    text = str(path)
-    if text == ":memory:":
+    backend = backend_of(path)
+    if backend == "memory":
         raise ConfigurationError("the in-memory store has no file to compact")
+    text = str(path)
     if not Path(text).exists():
         raise ConfigurationError(f"no such store: {text}")
-    if text.endswith((".sqlite", ".sqlite3", ".db")):
+    if backend == "sqlite":
         return compact_sqlite(text, dry_run=dry_run)
     return compact_jsonl(text, dry_run=dry_run)
 

@@ -6,32 +6,16 @@ mergeable with ``cat`` — and append-only, so a ``put`` is a single
 ``write + flush`` and a campaign killed mid-run loses at most the line
 it was writing.
 
-Crash-safety on open:
-
-* a **torn final line** (the campaign was killed mid-append) is
-  recognised and truncated away, so the next append starts on a clean
-  line instead of corrupting the following record;
-* records from **other schema versions** are skipped — their
-  fingerprints can never be looked up anyway (the schema version is part
-  of the hash), so they are dead weight, not an error;
-* corruption *before* the final line is reported loudly: that is not a
-  kill artefact but real damage, and silently dropping stored evidence
-  would make a resumed campaign silently recompute — or worse, a
-  half-loaded index could shadow a later duplicate record.
-
-The classification is pinned by byte-level fixtures in the test suite:
-
-* torn final line, **no trailing newline** → truncated away (the only
-  artefact a killed single ``write(json + "\\n")`` can leave);
-* unreadable final line **with a trailing newline** → raise — a fully
-  written line of garbage cannot come from a torn append, so it is real
-  corruption even in tail position;
-* a torn line that happens to be a **valid JSON prefix** of a record
-  (e.g. a bare ``{"fp": ...}`` missing its outcome) → truncated away,
-  never half-loaded;
-* **empty file** → loads empty and is left untouched;
-* a file of only **other-schema rows** → loads empty (the rows are
-  unreadable through current-version lookups anyway), file untouched.
+Crash-safety on open follows :mod:`repro.appendlog`, the one torn-tail
+discipline of every append-only file: a torn final line (the campaign
+was killed mid-append) is truncated away so the next append starts on a
+clean line, and corruption *before* it raises — silently dropping
+stored evidence would make a resumed campaign silently recompute, or
+let a half-loaded index shadow a later duplicate record.  Records from
+**other schema versions** are skipped and kept on disk: their
+fingerprints can never be looked up anyway (the schema version is part
+of the hash), so they are dead weight, not an error.  A record of the
+current version with a broken fingerprint is corruption.
 """
 
 from __future__ import annotations
@@ -39,159 +23,66 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Union
+from typing import Dict, FrozenSet, Optional, Tuple, Union
 
+from repro.appendlog import AppendLog
 from repro.campaign.codec import outcome_from_dict, outcome_to_dict
 from repro.campaign.spec import ScenarioOutcome
 from repro.exceptions import ConfigurationError
-from repro.store.base import Fingerprintish, ResultStore, _digest
+from repro.store.base import (
+    IDLE_FLUSH_SECONDS, Fingerprintish, ResultStore, WriteBuffer, _digest,
+)
 from repro.store.fingerprint import SCHEMA_VERSION
 
-__all__ = ["JsonlResultStore"]
+__all__ = ["JsonlResultStore", "parse_record"]
 
-#: See :data:`repro.store.sqlite._IDLE_FLUSH_SECONDS` — same contract.
-_IDLE_FLUSH_SECONDS = 0.5
+
+def parse_record(text: str) -> Optional[Tuple[str, ScenarioOutcome]]:
+    """One store line as ``(digest, outcome)``, ``None`` for other schemas."""
+    record = json.loads(text)
+    if not isinstance(record, dict):
+        raise ConfigurationError(f"record is not an object: {record!r}")
+    if record.get("v") != SCHEMA_VERSION:
+        return None
+    digest = record["fp"]
+    if not isinstance(digest, str) or not digest:
+        raise ConfigurationError(f"record has a non-string fingerprint: {digest!r}")
+    return digest, outcome_from_dict(record["outcome"])
 
 
 class JsonlResultStore(ResultStore):
     """Append-only JSONL backend (the portable default).
 
-    ``commit_batch=1`` (the default) appends and flushes per record —
-    the historical behaviour.  Larger values buffer encoded lines and
-    append them as **one** ``write`` of the joined block per batch; a
-    kill mid-write then leaves complete lines plus at most one torn
-    final line, which is *exactly* the artefact the open-time
-    classification above already recognises and truncates — the
-    byte-level torn-tail guarantees hold unchanged, only the durability
-    point moves by at most one batch (bounded in wall time by an idle
-    flush timer).  Reads are always served from the in-memory index, so
-    buffering never affects read-your-writes.
+    ``commit_batch=1`` (the default) appends and flushes per record.
+    Larger values buffer encoded lines (:class:`~repro.store.base.WriteBuffer`)
+    and append each batch as **one** write of the joined block; a kill
+    mid-write then leaves complete lines plus at most one torn final
+    line — exactly the artefact the open-time classification truncates.
+    Reads are served from the in-memory index, so buffering never
+    affects read-your-writes.
     """
 
     def __init__(self, path: Union[str, Path], *, commit_batch: int = 1,
-                 idle_flush_seconds: float = _IDLE_FLUSH_SECONDS):
-        if commit_batch < 1:
-            raise ConfigurationError(
-                f"commit_batch must be >= 1, got {commit_batch}")
-        if idle_flush_seconds <= 0:
-            raise ConfigurationError(
-                f"idle_flush_seconds must be > 0, got {idle_flush_seconds}")
+                 idle_flush_seconds: float = IDLE_FLUSH_SECONDS):
         self._path = Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
-        self._commit_batch = commit_batch
-        self._idle_flush_seconds = idle_flush_seconds
-        self._pending: List[str] = []
-        self._idle_timer: Optional[threading.Timer] = None
-        self._io = {"puts": 0, "commits": 0, "committed_rows": 0,
-                    "max_commit_batch": 0, "flushes": 0}
-        self._index: Dict[str, ScenarioOutcome] = {}
-        self._load()
-        self._file = self._path.open("a", encoding="utf-8")
+        self._buffer = WriteBuffer(
+            lambda lines: self._log.append("".join(lines)), lock=self._lock,
+            commit_batch=commit_batch, idle_flush_seconds=idle_flush_seconds)
+        self._log, records = AppendLog.open(
+            self._path, parse_record, f"result store {self._path}")
+        self._index: Dict[str, ScenarioOutcome] = dict(records)
 
     @property
     def path(self) -> Path:
         return self._path
 
-    def _load(self) -> None:
-        if not self._path.exists():
-            return
-        data = self._path.read_bytes()
-        good_until = 0
-        for line_number, raw_line in enumerate(data.split(b"\n"), start=1):
-            stripped = raw_line.strip()
-            if stripped:
-                try:
-                    record = json.loads(stripped.decode("utf-8"))
-                    if not isinstance(record, dict):
-                        raise ConfigurationError(f"record is not an object: {record!r}")
-                    if record.get("v") == SCHEMA_VERSION:
-                        digest = record["fp"]
-                        if not isinstance(digest, str) or not digest:
-                            # A record of the right version with a broken
-                            # key is corruption, not a schema mismatch.
-                            raise ConfigurationError(
-                                f"record has a non-string fingerprint: {digest!r}"
-                            )
-                        self._index[digest] = outcome_from_dict(record["outcome"])
-                except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
-                    if good_until + len(raw_line) + 1 <= len(data):
-                        # The bad line is followed by more data: this is
-                        # not a torn final append but real corruption.
-                        raise ConfigurationError(
-                            f"corrupt result store {self._path}: unreadable record "
-                            f"on line {line_number} ({exc})"
-                        ) from exc
-                    break  # torn final line: drop it below
-            good_until += len(raw_line) + 1  # the split-away "\n"
-        good_until = min(good_until, len(data))
-        if good_until < len(data) or (data and not data.endswith(b"\n")):
-            # Truncate the torn tail so the next append starts clean.
-            clean = data[:good_until]
-            if clean and not clean.endswith(b"\n"):
-                clean += b"\n"
-            self._path.write_bytes(clean)
-
-    # -- write buffering ---------------------------------------------------
-
-    def _commit_lines(self, lines: List[str]) -> None:
-        """One appended write for ``lines`` (caller holds the lock).
-
-        A single ``write`` of the joined block is the whole trick: the
-        kernel appends it contiguously, so an interrupting kill leaves a
-        clean-line prefix plus at most one torn tail — the same artefact
-        a torn single-record append leaves.
-        """
-        if not lines:
-            return
-        self._file.write("".join(lines))
-        # Flushed to the OS per commit: durable against the process being
-        # killed (the resume guarantee), not against the host dying.
-        self._file.flush()
-        self._io["commits"] += 1
-        self._io["committed_rows"] += len(lines)
-        self._io["max_commit_batch"] = max(
-            self._io["max_commit_batch"], len(lines))
-
-    def _drain_pending_locked(self) -> None:
-        if self._idle_timer is not None:
-            self._idle_timer.cancel()
-            self._idle_timer = None
-        if not self._pending:
-            return
-        lines, self._pending = self._pending, []
-        self._commit_lines(lines)
-
-    def _arm_idle_timer_locked(self) -> None:
-        if self._idle_timer is not None:
-            return
-        timer = threading.Timer(self._idle_flush_seconds, self._idle_flush)
-        timer.daemon = True
-        self._idle_timer = timer
-        timer.start()
-
-    def _idle_flush(self) -> None:
-        with self._lock:
-            self._idle_timer = None
-            if self._file.closed:
-                return
-            if self._pending:
-                self._io["flushes"] += 1
-                self._drain_pending_locked()
-
     def flush(self) -> None:
         """Append any buffered records now (the explicit durability point)."""
-        with self._lock:
-            if self._file.closed:
-                return
-            if self._pending:
-                self._io["flushes"] += 1
-            self._drain_pending_locked()
+        self._buffer.flush()
 
     def io_stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {**self._io, "buffered": len(self._pending),
-                    "commit_batch": self._commit_batch}
+        return self._buffer.io_stats()
 
     # -- ResultStore -------------------------------------------------------
 
@@ -203,15 +94,7 @@ class JsonlResultStore(ResultStore):
         record = {"fp": digest, "v": SCHEMA_VERSION, "outcome": outcome_to_dict(outcome)}
         line = json.dumps(record, sort_keys=True) + "\n"
         with self._lock:
-            self._io["puts"] += 1
-            if self._commit_batch == 1:
-                self._commit_lines([line])
-            else:
-                self._pending.append(line)
-                if len(self._pending) >= self._commit_batch:
-                    self._drain_pending_locked()
-                else:
-                    self._arm_idle_timer_locked()
+            self._buffer.put(digest, line)
             self._index[digest] = outcome
 
     def fingerprints(self) -> FrozenSet[str]:
@@ -219,9 +102,5 @@ class JsonlResultStore(ResultStore):
 
     def close(self) -> None:
         with self._lock:
-            if self._idle_timer is not None:
-                self._idle_timer.cancel()
-                self._idle_timer = None
-            if not self._file.closed:
-                self._drain_pending_locked()
-                self._file.close()
+            self._buffer.close()
+            self._log.close()

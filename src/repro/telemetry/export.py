@@ -1,8 +1,8 @@
 """Trace and metrics exporters: torn-tail-safe files tools can open.
 
-Two formats, both written one flushed line at a time so a SIGKILL tears
-at most the final line (the same discipline as the JSONL result store
-and the campaign journal):
+Two formats, both written and read through :mod:`repro.appendlog` —
+one kill-safe append per line, so a SIGKILL tears at most the final
+line, which readers drop:
 
 * **Chrome trace-event JSON** — :class:`ChromeTraceWriter` emits the
   trace-event array format that Perfetto and ``chrome://tracing`` load
@@ -10,23 +10,21 @@ and the campaign journal):
   event object per line, comma-terminated.  The format explicitly
   tolerates a missing closing bracket, which is exactly what makes an
   append-only, kill-safe trace file *also* a valid trace file.
-  :func:`read_trace` applies the journal's torn-tail classification:
-  an unreadable final line is dropped, unreadable data mid-file raises.
 
 * **Metrics JSONL** — :func:`append_metrics` appends one
   schema-versioned JSON object per snapshot (a whole
   :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` keyed by
-  campaign id); :func:`read_metrics` reads them back with the same
-  torn-tail tolerance.
+  campaign id), healing a torn tail first; :func:`read_metrics` reads
+  them back.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.appendlog import AppendLog, scan
 from repro.exceptions import ConfigurationError
 from repro.telemetry.spans import SpanRecord
 
@@ -74,37 +72,29 @@ def span_to_trace_event(record: SpanRecord) -> Dict[str, Any]:
 class ChromeTraceWriter:
     """Incremental, kill-safe writer for one Chrome trace file.
 
-    Each ``write`` is one flushed line; ``close`` is idempotent and the
-    writer is a context manager.  The file is truncated on open — a
-    trace describes one session, re-running overwrites it.
+    Each ``write`` is one :class:`~repro.appendlog.AppendLog` append;
+    ``close`` is idempotent and the writer is a context manager.  The
+    file is truncated on open — a trace describes one session,
+    re-running overwrites it.
     """
 
     def __init__(self, path: Union[str, Path]):
-        self._path = Path(path)
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._file = self._path.open("w", encoding="utf-8")
-        self._file.write(_TRACE_HEADER)
-        self._file.flush()
+        self._log = AppendLog.create(path)
+        self._log.append(_TRACE_HEADER)
 
     @property
     def path(self) -> Path:
-        return self._path
+        return self._log.path
 
     def write(self, record: SpanRecord) -> None:
-        line = json.dumps(span_to_trace_event(record), sort_keys=True) + ",\n"
-        with self._lock:
-            self._file.write(line)
-            self._file.flush()
+        self._log.append(json.dumps(span_to_trace_event(record), sort_keys=True) + ",\n")
 
     def write_all(self, records) -> None:
         for record in records:
             self.write(record)
 
     def close(self) -> None:
-        with self._lock:
-            if not self._file.closed:
-                self._file.close()
+        self._log.close()
 
     def __enter__(self) -> "ChromeTraceWriter":
         return self
@@ -120,48 +110,45 @@ def write_trace(path: Union[str, Path], records) -> Path:
         return writer.path
 
 
+def _trace_event(text: str) -> Optional[Dict[str, Any]]:
+    """One trace line (comma-terminated); ``None`` for a closing ``]``."""
+    text = text.rstrip(",").strip()
+    if text in ("", "]"):
+        return None
+    event = json.loads(text)
+    if not isinstance(event, dict) or "ph" not in event or "name" not in event:
+        raise ConfigurationError(f"not a trace event: {event!r}")
+    return event
+
+
 def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
     """Parse a Chrome trace file back into event dicts, validating it.
 
-    Torn-tail classification matches the journal: an unreadable *final*
-    line is a kill artefact and is dropped; unreadable data *followed by
-    more data* is corruption and raises
-    :class:`~repro.exceptions.ConfigurationError`, as does a file that
-    is not a trace-event array at all.
+    The lines after the ``[`` header are read with
+    :func:`repro.appendlog.scan`; a file that is not a trace-event array
+    at all raises :class:`~repro.exceptions.ConfigurationError`.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no trace file at {path}")
-    data = path.read_bytes()
-    lines = data.split(b"\n")
-    if not lines or lines[0].strip() not in (b"[", b"[]"):
+    header, _, body = path.read_bytes().partition(b"\n")
+    if header.strip() not in (b"[", b"[]"):
         raise ConfigurationError(
             f"{path} is not a Chrome trace-event file (missing '[' header)"
         )
-    events: List[Dict[str, Any]] = []
-    consumed = len(lines[0]) + 1
-    for line_number, raw_line in enumerate(lines[1:], start=2):
-        stripped = raw_line.strip().rstrip(b",").strip()
-        if stripped in (b"", b"]"):
-            consumed += len(raw_line) + 1
-            continue
-        try:
-            event = json.loads(stripped.decode("utf-8"))
-            if not isinstance(event, dict) or "ph" not in event or "name" not in event:
-                raise ConfigurationError(f"not a trace event: {event!r}")
-        except (ValueError, ConfigurationError) as exc:
-            if consumed + len(raw_line) + 1 <= len(data):
-                raise ConfigurationError(
-                    f"corrupt trace file {path}: unreadable event on line "
-                    f"{line_number} ({exc})"
-                ) from exc
-            break  # torn final line: dropped, like the journal's
-        events.append(event)
-        consumed += len(raw_line) + 1
+    events, _ = scan(body, _trace_event, f"trace file {path}", first_line=2)
     return tuple(events)
 
 
 # -- metrics dump -------------------------------------------------------------
+
+
+def _metrics_record(text: str) -> Optional[Dict[str, Any]]:
+    """One metrics line; ``None`` for rows of other schema versions."""
+    record = json.loads(text)
+    if not isinstance(record, dict) or "metrics" not in record:
+        raise ConfigurationError(f"not a metrics record: {record!r}")
+    return record if record.get("v") == TELEMETRY_SCHEMA_VERSION else None
 
 
 def append_metrics(
@@ -172,8 +159,6 @@ def append_metrics(
     extra: Optional[Dict[str, Any]] = None,
 ) -> Path:
     """Append one metrics snapshot (whole registry) for ``campaign``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     record = {
         "v": TELEMETRY_SCHEMA_VERSION,
         "type": "metrics",
@@ -182,10 +167,10 @@ def append_metrics(
     }
     if extra:
         record.update(extra)
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()
-    return path
+    log, _ = AppendLog.open(path, _metrics_record, f"metrics dump {Path(path)}")
+    with log:
+        log.append(json.dumps(record, sort_keys=True) + "\n")
+    return log.path
 
 
 def read_metrics(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
@@ -193,24 +178,4 @@ def read_metrics(path: Union[str, Path]) -> Tuple[Dict[str, Any], ...]:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no metrics dump at {path}")
-    data = path.read_bytes()
-    records: List[Dict[str, Any]] = []
-    consumed = 0
-    for line_number, raw_line in enumerate(data.split(b"\n"), start=1):
-        stripped = raw_line.strip()
-        if stripped:
-            try:
-                record = json.loads(stripped.decode("utf-8"))
-                if not isinstance(record, dict) or "metrics" not in record:
-                    raise ConfigurationError(f"not a metrics record: {record!r}")
-                if record.get("v") == TELEMETRY_SCHEMA_VERSION:
-                    records.append(record)
-            except (ValueError, ConfigurationError) as exc:
-                if consumed + len(raw_line) + 1 <= len(data):
-                    raise ConfigurationError(
-                        f"corrupt metrics dump {path}: unreadable record on "
-                        f"line {line_number} ({exc})"
-                    ) from exc
-                break
-        consumed += len(raw_line) + 1
-    return tuple(records)
+    return tuple(scan(path.read_bytes(), _metrics_record, f"metrics dump {path}")[0])

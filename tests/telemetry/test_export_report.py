@@ -134,6 +134,16 @@ class TestMetricsDump:
         records = read_metrics(path)
         assert [r["campaign"] for r in records] == ["a"]
 
+    def test_append_after_a_kill_mid_append_heals_first(self, tmp_path):
+        # A kill mid-append leaves a torn tail without its newline; the
+        # next append must cut it, not glue a record onto it.
+        path = tmp_path / "metrics.jsonl"
+        append_metrics(path, "a", {})
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"v": 1, "type": "metr')
+        append_metrics(path, "b", {})
+        assert [r["campaign"] for r in read_metrics(path)] == ["a", "b"]
+
 
 class TestSummarize:
     def test_groups_by_campaign_and_counts(self, tmp_path):
