@@ -147,7 +147,7 @@ def sweep_theorem8(
     runner: Optional[CampaignRunner] = None,
     store=None,
     progress=None,
-    recording: str = "full",
+    recording: str = "verdict-only",
 ) -> List[SweepPoint]:
     """Sweep the full (n, f, k) grid and compare prediction with observation.
 
@@ -163,10 +163,22 @@ def sweep_theorem8(
 
     ``recording`` selects the executor's
     :class:`~repro.simulation.recording.RecordingPolicy` for every
-    scenario.  The sweep only consumes verdicts, so ``"verdict-only"``
-    skips all per-step trace allocation and returns the **identical**
-    list of points measurably faster — the setting to use for large
-    grids.
+    scenario.  The default, ``"verdict-only"``, skips all per-step trace
+    allocation and lets the default runner (``batch=True``) execute the
+    solvable side on the batched kernel.  The points — ``details``
+    included — are **identical** under every policy, because they are
+    built from :class:`~repro.campaign.spec.ScenarioOutcome`\\ s alone.
+
+    * The recording policy is part of a scenario's store fingerprint: a
+      store filled by a sweep that recorded ``"full"`` (this function's
+      earlier default) serves no hits to a verdict-only sweep, so the
+      first such sweep over an old store re-executes once.
+    * A witness named in ``details`` replays with its full trace by
+      running ``dataclasses.replace(spec, recording="full")`` through
+      :func:`repro.campaign.runner.run_scenario` or the executor.
+    * On the serial backend a whole wave (one ``(n, f)`` pair of the
+      solvable side) is one task, so store persistence, kill/resume and
+      ``progress`` events advance one wave at a time.
     """
     n_values = list(n_values)
     specs = theorem8_specs(

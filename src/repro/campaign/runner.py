@@ -8,10 +8,10 @@ runs the same pipeline::
     specs → plan → (fn, specs, positions) tasks
           → Supervisor (run_inline | run_pool) → record by position
 
-* **Plan.** :meth:`CampaignRunner.plan` cuts the specs into tasks.  With
-  ``batch=True`` it first splits off same-``(kind, n, f)`` waves for the
-  batched kernel (:func:`_run_wave`); everything else runs through the
-  scalar entry point (:func:`_run_batch`).
+* **Plan.** :meth:`CampaignRunner.plan` lazily cuts the specs into
+  tasks.  By default (``batch=True``) it first splits off
+  same-``(kind, n, f)`` waves for the batched kernel (:func:`_run_wave`);
+  everything else runs through the scalar entry point (:func:`_run_batch`).
 * **Execute.** One :class:`~repro.faults.supervisor.Supervisor` runs the
   tasks — inline in the calling process, or on a ``multiprocessing``
   pool for the process backend with more than one worker.  Either way
@@ -22,7 +22,7 @@ runs the same pipeline::
 
 The two backends differ only in task size and executor:
 
-* ``"serial"`` — one spec per task (whole waves when batching), run
+* ``"serial"`` — one scalar spec or one whole wave per task, run
   inline; the reference backend the process backend must agree with.
 * ``"process"`` — chunk-sized tasks on a pool of worker processes, or
   inline without forking when it has one worker.
@@ -37,8 +37,8 @@ The two backends differ only in task size and executor:
 persistent store (:mod:`repro.store`) builds on:
 
 * ``on_outcome`` — called in the **calling** process as soon as a
-  task's outcomes exist (per scenario on the serial backend, per
-  completed chunk or wave otherwise).  This is what lets a store
+  task's outcomes exist (per scalar scenario or whole wave on the serial
+  backend, per completed chunk otherwise).  This is what lets a store
   persist results incrementally, so a killed campaign resumes from its
   last completed task instead of from scratch.
 * ``progress`` — a callable receiving one :class:`ScenarioEvent` per
@@ -49,8 +49,9 @@ persistent store (:mod:`repro.store`) builds on:
   backend, per task (about ``total ÷ (4 × workers)`` scenarios by
   default), not per scenario.  A task whose worker dies delivers
   nothing; its retry delivers each scenario once.
-* ``should_skip`` — consulted once per scenario at dispatch time; a
-  ``True`` return drops the scenario from the campaign.  Adaptive
+* ``should_skip`` — consulted once per scenario at dispatch time, when
+  its task (scalar chunk or wave) is drawn; a ``True`` return drops the
+  scenario from the campaign.  Adaptive
   budgets (:class:`repro.store.EarlyStopPolicy`) use this to stop
   sampling a sweep point once its outcome is certified.
 
@@ -72,6 +73,7 @@ would serialise it anyway).
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -467,17 +469,17 @@ class CampaignRunner:
         Scenarios per task for the process backend (default: an even
         split into roughly ``4 * workers`` tasks).
     batch:
-        When ``True``, specs the batched kernel can execute
+        ``True`` (default): specs the batched kernel can execute
         (:func:`repro.simulation.batch_kernel.is_batchable`) are grouped
         into same-``(kind, n, f)`` waves and run through
         :func:`_run_wave`; everything else — FULL/DECISIONS_ONLY
         recording, kinds without a batched step function, unknown
-        schedulers — takes the scalar path unchanged.  Outcomes are
-        reassembled in spec order, so a batched campaign compares equal
-        to the same campaign without batching on every backend.
-        ``should_skip`` is consulted once per scenario *before* waves
-        form (this is where :class:`repro.store.CachingRunner` skims
-        cached fingerprints off), not re-evaluated at submission time.
+        schedulers — takes the scalar path unchanged, and a campaign
+        with no batchable spec gets exactly the unbatched plan.
+        Outcomes are reassembled in spec order, so a batched campaign
+        compares equal to the same campaign without batching on every
+        backend.  ``False`` runs every spec on the scalar executor, the
+        oracle the kernel is checked against.
     faults:
         An optional :class:`~repro.faults.plan.FaultPlan` injecting
         deterministic chaos (worker crashes, hangs, task exceptions,
@@ -497,7 +499,7 @@ class CampaignRunner:
     backend: str = "serial"
     workers: Optional[int] = None
     chunk_size: Optional[int] = None
-    batch: bool = False
+    batch: bool = True
     faults: Optional[FaultPlan] = None
     retry: Optional[RetryPolicy] = None
 
@@ -595,49 +597,43 @@ class CampaignRunner:
     ) -> Tuple[Iterable[TaskSpec], int]:
         """The campaign's ``(fn, specs, positions)`` tasks and their count.
 
-        Task size is where the backends differ: one spec per task on
-        ``"serial"``, :attr:`chunk_size` specs (default: an even
-        split into about ``4 × workers`` tasks) on ``"process"``.
-        ``positions`` index into ``specs``, so outcomes
-        reassemble in spec order whatever order the tasks complete in.
+        With :attr:`batch` the specs are first split by
+        :func:`~repro.simulation.batch_kernel.partition_waves`: each
+        same-``(kind, n, f)`` wave becomes :func:`_run_wave` tasks and
+        the scalar rest :func:`_run_batch` tasks; without it (or when no
+        spec is batchable) every spec is scalar, so such a grid gets
+        exactly the unbatched plan.  Task size is where the backends
+        differ: on ``"serial"`` a wave is one task and a scalar spec is
+        one task; on ``"process"`` both are cut at :attr:`chunk_size`
+        specs (default: an even split into about ``4 × workers`` tasks).
+        ``positions`` index into ``specs``, so outcomes reassemble in
+        spec order whatever order the tasks complete in.
 
-        Without :attr:`batch` the tasks are lazy and ``should_skip`` is
-        consulted as each task is drawn — after earlier completions were
-        delivered, which is what adaptive budgets rely on — and the count
-        is an upper bound.  With :attr:`batch` skips are applied up front
-        and the live specs are split by
-        :func:`~repro.simulation.batch_kernel.partition_waves`: each wave
-        becomes :func:`_run_wave` tasks (whole on ``"serial"``, cut at
-        the chunk size elsewhere) and the scalar leftovers
-        :func:`_run_batch` tasks at the backend's usual size.
+        The tasks are lazy: ``should_skip`` is consulted for a task's
+        specs only when that task is drawn — after earlier completions
+        were delivered, which is what adaptive budgets rely on — and the
+        count is an upper bound.
         """
-        workers = self._effective_workers()
-        if not self.batch:
-            size = (1 if self.backend == "serial"
-                    else self._effective_chunk_size(len(specs), workers))
-            return (_slices(_run_batch, specs, range(len(specs)), size,
-                            should_skip),
-                    -(-len(specs) // size))
-
         # Function-level import: the kernel's scalar fallback imports
         # run_scenario from this module.
         from repro.simulation.batch_kernel import partition_waves
 
-        live = [position for position, spec in enumerate(specs)
-                if should_skip is None or not should_skip(spec)]
-        waves, scalar = partition_waves([specs[p] for p in live])
+        if self.batch:
+            waves, scalar = partition_waves(specs)
+        else:
+            waves, scalar = [], range(len(specs))
         if self.backend == "serial":
-            wave_size, scalar_size = len(live) or 1, 1
+            wave_size, scalar_size = len(specs) or 1, 1
         else:
             wave_size = scalar_size = self._effective_chunk_size(
-                len(live), workers)
-        tasks: List[TaskSpec] = []
-        for wave in waves:
-            tasks.extend(_slices(
-                _run_wave, specs, [live[i] for i in wave], wave_size))
-        tasks.extend(_slices(
-            _run_batch, specs, [live[i] for i in scalar], scalar_size))
-        return tasks, len(tasks)
+                len(specs), self._effective_workers())
+        count = (sum(-(-len(wave) // wave_size) for wave in waves)
+                 + -(-len(scalar) // scalar_size))
+        tasks = itertools.chain(
+            *(_slices(_run_wave, specs, wave, wave_size, should_skip)
+              for wave in waves),
+            _slices(_run_batch, specs, scalar, scalar_size, should_skip))
+        return tasks, count
 
     # -- internals ---------------------------------------------------------
 

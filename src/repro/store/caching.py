@@ -100,8 +100,9 @@ class CachingRunner:
         persist new outcomes into.
     runner:
         The wrapped :class:`~repro.campaign.runner.CampaignRunner`
-        (default: serial).  Any backend works; persistence happens in
-        the calling process either way.
+        (default: ``CampaignRunner()`` — serial, batched kernel on).  Any
+        backend works; persistence happens in the calling process either
+        way.
     policy:
         Optional :class:`~repro.store.policy.EarlyStopPolicy`.
     progress:

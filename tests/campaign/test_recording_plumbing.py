@@ -9,6 +9,8 @@ obey (part of the store fingerprint, absent from the RNG derivation).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.border_sweep import sweep_theorem8
@@ -250,3 +252,43 @@ class TestStoreInteraction:
             full = full_runner.run(specs_full)
             assert full_runner.last_stats.cached == 0
         assert [o.verdict for o in full.outcomes] == [o.verdict for o in cold.outcomes]
+
+
+class TestDefaultSweepPath:
+    """``sweep_theorem8`` defaults to verdict-only on the batched kernel,
+    and its points equal the scalar oracle's FULL-recording sweep."""
+
+    @pytest.fixture(scope="class")
+    def oracle_points(self):
+        return sweep_theorem8(
+            PINNED_GRID, recording="full", runner=CampaignRunner(batch=False),
+            **PINNED_KWARGS)
+
+    @pytest.mark.parametrize("runner", [
+        None, CampaignRunner(backend="process", workers=2),
+    ], ids=["serial", "process"])
+    def test_default_points_equal_the_full_scalar_sweep(self, oracle_points, runner):
+        points = sweep_theorem8(PINNED_GRID, runner=runner, **PINNED_KWARGS)
+        assert points == oracle_points  # details included
+        assert all(p.agrees for p in points)
+
+    def test_every_batchable_spec_of_the_default_sweep_runs_in_a_wave(
+            self, monkeypatch):
+        import repro.simulation.batch_kernel as batch_kernel
+
+        waved = []
+        real = batch_kernel.execute_wave
+
+        def spy(specs, *args, **kwargs):
+            waved.extend(specs)
+            return real(specs, *args, **kwargs)
+
+        monkeypatch.setattr(batch_kernel, "execute_wave", spy)
+        sweep_theorem8(PINNED_GRID, **PINNED_KWARGS)
+        batchable = [
+            spec for spec in theorem8_specs(
+                PINNED_GRID, recording="verdict-only", **PINNED_KWARGS)
+            if batch_kernel.is_batchable(spec)
+        ]
+        assert batchable
+        assert Counter(waved) == Counter(batchable)  # each exactly once

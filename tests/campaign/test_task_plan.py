@@ -125,7 +125,8 @@ def test_unbatched_skips_are_consulted_as_tasks_are_drawn():
         consulted.append(spec)
         return False
 
-    runner = CampaignRunner(backend="process", workers=1, chunk_size=CHUNK)
+    runner = CampaignRunner(backend="process", workers=1, chunk_size=CHUNK,
+                            batch=False)
     tasks, _ = runner.plan(SPECS, skip)
     assert consulted == []  # lazy: nothing asked before the first draw
     next(iter(tasks))
@@ -133,9 +134,77 @@ def test_unbatched_skips_are_consulted_as_tasks_are_drawn():
 
 
 def test_default_chunk_size_splits_into_four_tasks_per_worker():
-    runner = CampaignRunner(backend="process", workers=WORKERS)
+    runner = CampaignRunner(backend="process", workers=WORKERS, batch=False)
     tasks, count = runner.plan(SPECS)
     assert count == len(list(tasks)) == 4 * WORKERS
     # A one-worker process backend splits for its one worker.
-    tasks, count = CampaignRunner(backend="process", workers=1).plan(SPECS)
+    tasks, count = CampaignRunner(
+        backend="process", workers=1, batch=False).plan(SPECS)
     assert count == len(list(tasks)) == 4
+
+
+#: A campaign with no batchable spec: FULL recording never batches.
+UNBATCHABLE = theorem8_specs([4, 5], seeds=(1, 2))
+
+
+class Consulted:
+    """A ``should_skip`` hook that records what it was asked."""
+
+    def __init__(self, skip=lambda spec: False):
+        self.asked = []
+        self.skip = skip
+
+    def __call__(self, spec):
+        self.asked.append(spec)
+        return self.skip(spec)
+
+
+@pytest.mark.parametrize("backend,workers", BACKENDS,
+                         ids=["serial", "inline", "process"])
+@pytest.mark.parametrize("chunk_size", [CHUNK, None])
+def test_nothing_batchable_gets_exactly_the_unbatched_plan(
+        backend, workers, chunk_size):
+    assert not any(is_batchable(spec) for spec in UNBATCHABLE)
+    plans = {}
+    for batch in (False, True):
+        runner = CampaignRunner(backend=backend, workers=workers,
+                                chunk_size=chunk_size, batch=batch)
+        skip = Consulted(lambda spec: UNBATCHABLE.index(spec) % 3 == 0)
+        tasks, count = runner.plan(UNBATCHABLE, skip)
+        assert skip.asked == []  # lazy on both paths
+        tasks = iter(tasks)
+        first = next(tasks)
+        after_first_draw = list(skip.asked)
+        plans[batch] = (count, [first, *tasks], after_first_draw, skip.asked)
+    assert plans[True] == plans[False]
+
+
+def test_batched_skips_are_consulted_as_each_wave_is_drawn():
+    skip = Consulted()
+    tasks, _ = CampaignRunner(batch=True).plan(SPECS, skip)
+    assert skip.asked == []  # nothing asked at plan() time
+    asked_before = 0
+    waves = 0
+    for fn, specs, _ in tasks:
+        # Exactly this task's specs were asked, when it was drawn.
+        assert skip.asked[asked_before:] == list(specs)
+        asked_before = len(skip.asked)
+        waves += fn is _run_wave
+    assert waves == len({wave_key(s) for s in SPECS if is_batchable(s)})
+    assert sorted(skip.asked, key=SPECS.index) == list(SPECS)
+
+
+def test_batched_skip_drops_specs_from_a_later_wave():
+    # A wave drawn after the hook starts skipping loses those specs;
+    # the skip is not frozen at plan() time.
+    skipping = set()
+    tasks, _ = CampaignRunner(batch=True).plan(SPECS, lambda s: s in skipping)
+    tasks = iter(tasks)
+    fn, first, _ = next(tasks)
+    assert fn is _run_wave
+    later = next(wave_key(s) for s in SPECS if is_batchable(s)
+                 and wave_key(s) != wave_key(first[0]))
+    skipping.update(s for s in SPECS if is_batchable(s) and wave_key(s) == later)
+    drawn = [spec for _, specs, _ in tasks for spec in specs]
+    assert not skipping & set(drawn)
+    assert len(first) + len(drawn) == len(SPECS) - len(skipping)
